@@ -13,10 +13,56 @@
 #include "moves/realizer.hpp"
 #include "moves/schedule.hpp"
 #include "testutil.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace qrm {
 namespace {
+
+/// A valid intent for legalize: each atom joins with probability `pick`,
+/// then members are pruned until every remaining member's swept path stays
+/// in bounds and holds only free cells or other members (so the set moved
+/// as one lockstep command, ignoring the AOD rule, is collision-free).
+std::vector<Coord> random_intent(const OccupancyGrid& g, Direction dir, std::int32_t steps,
+                                 Rng& rng, double pick) {
+  OccupancyGrid member(g.height(), g.width());
+  for (std::int32_t r = 0; r < g.height(); ++r)
+    for (std::int32_t c = 0; c < g.width(); ++c)
+      if (g.occupied({r, c}) && rng.bernoulli(pick)) member.set({r, c});
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::int32_t r = 0; r < g.height(); ++r) {
+      for (std::int32_t c = 0; c < g.width(); ++c) {
+        if (!member.occupied({r, c})) continue;
+        for (std::int32_t k = 1; k <= steps; ++k) {
+          const Coord cell = moved({r, c}, dir, k);
+          if (!g.in_bounds(cell) || (g.occupied(cell) && !member.occupied(cell))) {
+            member.clear({r, c});
+            changed = true;
+            break;
+          }
+        }
+      }
+    }
+  }
+  std::vector<Coord> sites;
+  for (std::int32_t r = 0; r < g.height(); ++r)
+    for (std::int32_t c = 0; c < g.width(); ++c)
+      if (member.occupied({r, c})) sites.push_back({r, c});
+  return sites;
+}
+
+/// Maps a site drawn for an East move on an n x n grid onto the frame of
+/// `dir`, so one hand-built geometry serves all four directions.
+Coord east_frame_to(Direction dir, std::int32_t n, Coord c) {
+  switch (dir) {
+    case Direction::East: return c;
+    case Direction::West: return {c.row, n - 1 - c.col};
+    case Direction::South: return {c.col, c.row};
+    case Direction::North: return {n - 1 - c.col, c.row};
+  }
+  return c;
+}
 
 // ---------------------------------------------------------------------------
 // AOD cross-product legality
@@ -140,6 +186,74 @@ TEST(Aod, LegalizeRandomisedAlwaysExecutable) {
     EXPECT_EQ(moved, sites.size());
     EXPECT_EQ(state.atom_count(), g.atom_count());
   }
+}
+
+TEST(Aod, LegalizeMultiStepPartitionsArePinned) {
+  // Pins the exact batch sequence (direction, steps, sites in order) that
+  // legalize emits for multi-step intents that cannot move as one command:
+  // hand-built cross-trap geometries plus seeded random intents, steps 2-4
+  // in all four directions, on grids narrower and wider than one word.
+  struct Case {
+    OccupancyGrid grid;
+    std::vector<Coord> sites;
+    Direction dir;
+    std::int32_t steps;
+  };
+  std::vector<Case> cases;
+  constexpr std::int32_t n = 16;
+  for (const Direction dir : kAllDirections) {
+    for (std::int32_t steps = 2; steps <= 4; ++steps) {
+      const auto hand_built = [&](const std::vector<Coord>& movers,
+                                  const std::vector<Coord>& fixed) {
+        Case c{OccupancyGrid(n, n), {}, dir, steps};
+        for (const Coord& m : movers) {
+          c.grid.set(east_frame_to(dir, n, m));
+          c.sites.push_back(east_frame_to(dir, n, m));
+        }
+        for (const Coord& f : fixed) c.grid.set(east_frame_to(dir, n, f));
+        cases.push_back(std::move(c));
+      };
+      // A fixed atom on the movers' cross trap splits them.
+      hand_built({{2, 6}, {6, 2}}, {{2, 2}});
+      // (3,5) is gated behind the fixed atom at (7,5) once (7,9) is in the
+      // batch, and its follower (3,4) is then blocked: both go next.
+      hand_built({{7, 9}, {3, 5}, {3, 4}}, {{7, 5}});
+      for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        const auto draw = static_cast<std::uint64_t>(dir) * 100 + steps * 10 + seed;
+        OccupancyGrid g = load_random(n, n, {0.5, 5000 + draw});
+        Rng rng(draw);
+        std::vector<Coord> sites = random_intent(g, dir, steps, rng, 0.9);
+        cases.push_back({std::move(g), std::move(sites), dir, steps});
+      }
+      const auto draw = static_cast<std::uint64_t>(dir) * 100 + steps * 10;
+      OccupancyGrid wide = load_random(70, 66, {0.4, 6000 + draw});
+      Rng rng(draw);
+      std::vector<Coord> sites = random_intent(wide, dir, steps, rng, 0.6);
+      cases.push_back({std::move(wide), std::move(sites), dir, steps});
+    }
+  }
+
+  std::uint64_t hash = fnv::kOffset;
+  std::size_t total_batches = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    const auto batches = legalize(c.grid, c.sites, c.dir, c.steps);
+    EXPECT_GT(batches.size(), 1u) << "case " << i << " no longer needs a split";
+    total_batches += batches.size();
+    fnv::mix_u64(hash, batches.size());
+    for (const auto& b : batches) {
+      fnv::mix_u64(hash, static_cast<std::uint64_t>(b.dir));
+      fnv::mix_u64(hash, static_cast<std::uint64_t>(b.steps));
+      fnv::mix_u64(hash, b.sites.size());
+      for (const Coord& s : b.sites) {
+        fnv::mix_u64(hash, static_cast<std::uint64_t>(s.row));
+        fnv::mix_u64(hash, static_cast<std::uint64_t>(s.col));
+      }
+    }
+  }
+  EXPECT_EQ(cases.size(), 84u);
+  EXPECT_EQ(total_batches, 986u);
+  EXPECT_EQ(hash, 9642755931064177783ULL) << "multi-step partition drifted";
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@
 #include "exec/plan_cache.hpp"
 #include "loading/loader.hpp"
 #include "moves/dead_channels.hpp"
-#include "runtime/control_system.hpp"
 #include "util/assert.hpp"
 #include "util/fnv.hpp"
 #include "util/stats.hpp"
@@ -329,17 +328,3 @@ BatchReport BatchPlanner::run(const std::vector<OccupancyGrid>& captured) const 
 }
 
 }  // namespace qrm::batch
-
-namespace qrm::rt {
-
-// Defined here, not in runtime/, so the runtime module stays below batch in
-// the layering (see the declaration's comment in control_system.hpp).
-batch::BatchReport ControlSystem::run_batch(const batch::BatchConfig& request) const {
-  batch::BatchConfig merged = request;
-  merged.plan = config_.accelerator.plan;
-  merged.imaging = config_.imaging;
-  merged.detection = config_.detection;
-  return batch::BatchPlanner(std::move(merged)).run();
-}
-
-}  // namespace qrm::rt

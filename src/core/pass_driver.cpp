@@ -272,12 +272,18 @@ ThreadPool* PassDriver::intra_plan_pool() const noexcept {
 }
 
 PlanResult PassDriver::take_result() {
+  QRM_EXPECTS_MSG(phase_ == Phase::Done,
+                  "take_result() needs a finished drive (next() returned nullopt)");
   PlanResult result;
   stats_.target_filled = state_.region_full(config_.target);
   stats_.defects_remaining =
       static_cast<std::int64_t>(config_.target.area()) - state_.atom_count(config_.target);
-  result.schedule = schedule_;
-  result.final_grid = state_;
+  result.schedule = std::move(schedule_);
+  // Plans outlive the driver (plan cache, delta replanner), so drop the
+  // vector's growth slack; shrinking moves each ParallelMove, it does not
+  // copy its sites.
+  result.schedule.moves().shrink_to_fit();
+  result.final_grid = std::move(state_);
   result.stats = stats_;
   return result;
 }

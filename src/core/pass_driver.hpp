@@ -70,8 +70,8 @@ class PassDriver {
   [[nodiscard]] const QuadrantGeometry& geometry() const noexcept { return geometry_; }
   [[nodiscard]] const QrmConfig& config() const noexcept { return config_; }
 
-  /// Final outcome; valid once next() has returned nullopt (also usable
-  /// mid-flight for progress inspection).
+  /// Final outcome, moved out of the driver: call once, after next() has
+  /// returned nullopt. The driver's schedule and state are left empty.
   [[nodiscard]] PlanResult take_result();
 
   /// Snapshot every applied pass (kernel inputs and outputs, in application

@@ -4,7 +4,6 @@
 #include <bit>
 #include <map>
 
-#include "moves/executor.hpp"
 #include "util/assert.hpp"
 
 namespace qrm {
@@ -46,49 +45,31 @@ std::optional<std::string> aod_violation(const OccupancyGrid& grid, const Parall
 
 namespace {
 
-/// One axis of the AOD cross-product check at word speed: does the occupancy
-/// line `occ` hold a set bit that is also in `mask` (a trap the batch's AOD
-/// lines would create) but is neither a member of the batch (`own`) nor the
-/// candidate's own position (`exclude`)? Equivalent to the per-cell scan
-///   any c in mask: occ(c) && !own(c) && c != exclude
-/// but one AND-NOT sweep over the line's words.
-bool aod_bystander_on_line(const BitRow& occ, const BitRow& mask, const BitRow& own,
-                           std::int32_t exclude) {
-  const auto& ow = occ.words();
-  const auto& mw = mask.words();
-  const auto& sw = own.words();
-  const auto xw = static_cast<std::size_t>(exclude) / BitRow::kWordBits;
-  const auto xbit = BitRow::Word{1} << (static_cast<std::uint32_t>(exclude) % BitRow::kWordBits);
-  for (std::size_t wi = 0; wi < ow.size(); ++wi) {
-    BitRow::Word bystanders = ow[wi] & mw[wi] & ~sw[wi];
-    if (wi == xw) bystanders &= ~xbit;
-    if (bystanders != 0) return true;
-  }
-  return false;
-}
-
-/// Exact line-major reformulation of the greedy partition for the dominant
-/// unit-step case. Produces bit-identical batches, in the same order, as the
-/// per-candidate scan in legalize() below: the candidate visit order (major
-/// axis toward the front, minor axis ascending) IS the front_first order, the
-/// accept predicate is term-for-term the same, and rejected candidates have
-/// no side effects — which is what lets whole groups of them be skipped from
-/// word-level masks instead of being examined one by one:
-///   * path rejects: one AND-NOT of the group's forward line,
+/// The greedy partition, run line-major on the grid in major-line
+/// orientation (`gmaj`: rows are the lines the move crosses) with the
+/// remaining intended sites bucketed the same way (`rmaj`). Candidates are
+/// visited major axis toward the front, minor axis ascending, and each is
+/// accepted into the current batch when its swept path is free (or vacated
+/// by an accepted member) and the AOD lines it adds capture no bystander.
+/// Rejected candidates have no side effects, which is what lets whole
+/// groups of them be skipped from word-level masks instead of being
+/// examined one by one:
+///   * path rejects: one AND-NOT of the group's `steps` forward lines,
 ///   * group-axis cross rejects: one sweep of the group line against the
 ///     accepted-minor mask (0 bystanders = all pass, 2+ = all fail, exactly
 ///     1 = only the bystander site itself may proceed, and it unblocks the
 ///     minors after it only by being accepted),
-///   * minor-axis cross checks: the only remaining per-candidate sweep.
-std::vector<ParallelMove> legalize_unit_step(const OccupancyGrid& grid,
-                                             const std::vector<Coord>& sorted_sites,
-                                             OccupancyGrid& gmaj, OccupancyGrid rmaj,
-                                             BitRow majors_present, Direction dir) {
+///   * minor-axis cross checks: one running OR of the bystander minors of
+///     the accepted major lines.
+/// `gmaj` is advanced batch by batch and ends as the post-move grid.
+std::vector<ParallelMove> greedy_partition(OccupancyGrid& gmaj, OccupancyGrid rmaj,
+                                           BitRow majors_present, std::size_t left,
+                                           Direction dir, std::int32_t steps) {
   const bool horiz = is_horizontal(dir);
   const Coord delta = direction_delta(dir);
   const std::int32_t dmaj = horiz ? delta.col : delta.row;  // -1 or +1
-  const std::int32_t nmaj = horiz ? grid.width() : grid.height();
-  const std::int32_t nmin = horiz ? grid.height() : grid.width();
+  const std::int32_t nmaj = gmaj.height();
+  const std::int32_t nmin = gmaj.width();
   const auto site_at = [horiz](std::int32_t m, std::int32_t x) {
     return horiz ? Coord{x, m} : Coord{m, x};
   };
@@ -100,31 +81,31 @@ std::vector<ParallelMove> legalize_unit_step(const OccupancyGrid& grid,
   // Minors holding a bystander atom in some already-processed accepted major
   // line. A major line's bystander set is final once its group finishes
   // (accepts only ever happen during the line's own group visit), so this
-  // running OR is an exact O(1) replacement for the per-candidate sweep of
-  // the minor line against the accepted majors.
+  // running OR answers every candidate's minor-line check in O(1).
   BitRow bystander_minors(static_cast<std::uint32_t>(nmin));
   std::vector<ParallelMove> out;
   std::vector<BitRow::Word> surv(gmaj.row(0).words().size());
-  std::size_t left = sorted_sites.size();
+  // Reused across batches; each emitted move gets an exact-size copy, so
+  // plans kept by callers (plan cache, delta replanner) carry no slack.
+  std::vector<Coord> batch;
   while (left > 0) {
-    std::vector<Coord> batch;
+    batch.clear();
     for (std::int32_t i = 0; i < nmaj; ++i) {
       const std::int32_t m = dmaj < 0 ? i : nmaj - 1 - i;  // front-first
       if (!majors_present.test(static_cast<std::uint32_t>(m))) continue;
-      const std::int32_t p = m + dmaj;  // the major line one step ahead
-      if (p < 0 || p >= nmaj) continue;  // whole group walks out of bounds
-      // Path check for every candidate of the group at once: the cell ahead
-      // must be free or vacated by an already-accepted member.
+      const std::int32_t far = m + dmaj * steps;
+      if (far < 0 || far >= nmaj) continue;  // whole group walks out of bounds
+      // Path check for every candidate of the group at once: each swept
+      // cell must be free or vacated by an already-accepted member.
       const auto& cw = rmaj.row(m).words();
-      const auto& pw = gmaj.row(p).words();
-      const auto& pm = mmaj.row(p).words();
       const auto& bw = bystander_minors.words();
-      bool any = false;
-      for (std::size_t w = 0; w < surv.size(); ++w) {
-        surv[w] = cw[w] & ~(pw[w] & ~pm[w]) & ~bw[w];
-        any = any || surv[w] != 0;
+      for (std::size_t w = 0; w < surv.size(); ++w) surv[w] = cw[w] & ~bw[w];
+      for (std::int32_t k = 1; k <= steps; ++k) {
+        const auto& pw = gmaj.row(m + dmaj * k).words();
+        const auto& pm = mmaj.row(m + dmaj * k).words();
+        for (std::size_t w = 0; w < surv.size(); ++w) surv[w] &= ~(pw[w] & ~pm[w]);
       }
-      if (!any) continue;
+      if (std::all_of(surv.begin(), surv.end(), [](BitRow::Word w) { return w == 0; })) continue;
       // Group-axis cross state: minors already accepted elsewhere that hold
       // an atom on this major line. (The group's own members are excluded by
       // construction: mmaj.row(m) is empty until this group accepts.)
@@ -192,7 +173,7 @@ std::vector<ParallelMove> legalize_unit_step(const OccupancyGrid& grid,
       rmaj.clear({m, x});
     }
     for (const Coord& s : batch) {
-      const std::int32_t m = (horiz ? s.col : s.row) + dmaj;
+      const std::int32_t m = (horiz ? s.col : s.row) + dmaj * steps;
       const std::int32_t x = horiz ? s.row : s.col;
       QRM_ENSURES_MSG(!gmaj.occupied({m, x}), "legalize produced a colliding batch");
       gmaj.set({m, x});
@@ -207,7 +188,7 @@ std::vector<ParallelMove> legalize_unit_step(const OccupancyGrid& grid,
     acc_min.reset();
     bystander_minors.reset();
     left -= batch.size();
-    out.push_back(ParallelMove{dir, 1, std::move(batch)});
+    out.push_back(ParallelMove{dir, steps, std::vector<Coord>(batch.begin(), batch.end())});
   }
   return out;
 }
@@ -216,12 +197,9 @@ std::vector<ParallelMove> legalize_unit_step(const OccupancyGrid& grid,
 
 std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Coord> sites,
                                    Direction dir, std::int32_t steps,
-                                   OccupancyGrid* unit_major_mirror) {
+                                   OccupancyGrid* major_mirror) {
   QRM_EXPECTS(steps >= 1);
-  QRM_EXPECTS_MSG(unit_major_mirror == nullptr || steps == 1,
-                  "legalize: major mirror is only supported for unit steps");
-  std::vector<ParallelMove> out;
-  if (sites.empty()) return out;
+  if (sites.empty()) return {};
 
   const bool horiz = is_horizontal(dir);
   const Coord delta = direction_delta(dir);
@@ -231,12 +209,12 @@ std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Co
 
   // Bucket the intended sites by major line (the coordinate the move
   // changes). Enumerating the buckets front-first with minors ascending
-  // reproduces the historical front_first sort order — atoms nearest the
-  // destination side come first, so chain followers see their leaders
-  // handled first — in linear time, and doubles as the duplicate check:
-  // a duplicated site would pass the occupancy check (both copies see the
-  // same atom) and then be emitted twice inside one ParallelMove —
-  // physically one tweezer trying to pick the same atom up twice.
+  // gives the front_first order — atoms nearest the destination side come
+  // first, so chain followers see their leaders handled first — in linear
+  // time, and doubles as the duplicate check: a duplicated site would pass
+  // the occupancy check (both copies see the same atom) and then be emitted
+  // twice inside one ParallelMove — physically one tweezer trying to pick
+  // the same atom up twice.
   OccupancyGrid rmaj(nmaj, nmin);
   BitRow majors_present(static_cast<std::uint32_t>(nmaj));
   std::optional<Coord> duplicate;
@@ -251,8 +229,46 @@ std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Co
                   "legalize: duplicate site " + qrm::to_string(*duplicate) +
                       " in the intended move set");
 
-  std::vector<Coord> remaining;
-  remaining.reserve(sites.size());
+  // The probe and the greedy partition both read the grid in major-line
+  // orientation; a caller-maintained mirror skips the O(area) rederivation.
+  OccupancyGrid owned_gmaj;
+  if (major_mirror == nullptr) owned_gmaj = horiz ? grid.flipped(Flip::Transpose) : grid;
+  OccupancyGrid& gmaj = major_mirror != nullptr ? *major_mirror : owned_gmaj;
+
+  // Fast path: when the whole intended set is already legal as one lockstep
+  // command (frequent for sparse rounds), skip the greedy partition. The
+  // source checks validate_move would add are guaranteed by the
+  // preconditions above.
+  BitRow minmask(static_cast<std::uint32_t>(nmin));
+  for (std::int32_t m = 0; m < nmaj; ++m)
+    if (majors_present.test(static_cast<std::uint32_t>(m))) minmask |= rmaj.row(m);
+  bool legal = true;
+  for (std::int32_t m = 0; m < nmaj && legal; ++m) {
+    if (!majors_present.test(static_cast<std::uint32_t>(m))) continue;
+    const std::int32_t far = m + dmaj * steps;
+    if (far < 0 || far >= nmaj) {
+      legal = false;
+      break;
+    }
+    // An AOD cross trap capturing a bystander, or a member's swept cell
+    // holding a non-member atom, each veto the single-command form.
+    const auto& sw = rmaj.row(m).words();
+    const auto& go = gmaj.row(m).words();
+    const auto& mm = minmask.words();
+    for (std::size_t w = 0; w < sw.size() && legal; ++w) legal = (go[w] & mm[w] & ~sw[w]) == 0;
+    for (std::int32_t k = 1; k <= steps && legal; ++k) {
+      const auto& po = gmaj.row(m + dmaj * k).words();
+      const auto& ps = rmaj.row(m + dmaj * k).words();
+      for (std::size_t w = 0; w < sw.size() && legal; ++w) legal = (sw[w] & po[w] & ~ps[w]) == 0;
+    }
+  }
+  if (!legal) {
+    return greedy_partition(gmaj, std::move(rmaj), std::move(majors_present), sites.size(), dir,
+                            steps);
+  }
+
+  std::vector<Coord> whole;
+  whole.reserve(sites.size());
   for (std::int32_t i = 0; i < nmaj; ++i) {
     const std::int32_t m = dmaj < 0 ? i : nmaj - 1 - i;  // front-first
     if (!majors_present.test(static_cast<std::uint32_t>(m))) continue;
@@ -263,144 +279,18 @@ std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Co
         const auto x = static_cast<std::int32_t>(w * BitRow::kWordBits +
                                                  static_cast<std::size_t>(std::countr_zero(bits)));
         bits &= bits - 1;
-        remaining.push_back(horiz ? Coord{x, m} : Coord{m, x});
+        whole.push_back(horiz ? Coord{x, m} : Coord{m, x});
       }
     }
   }
-
-  // Fast path: when the whole intended set is already legal as one lockstep
-  // command (frequent for sparse rounds), skip the greedy partition. For
-  // unit steps — every round the realizer lowers — both the legality probe
-  // and the greedy partition run word-parallel on the bucket grid; the
-  // source checks validate_move would repeat are already guaranteed by the
-  // preconditions above. Multi-step moves keep the per-candidate scan.
-  if (steps == 1) {
-    // The probe and the greedy partition both read the grid in major-line
-    // orientation; a caller-maintained mirror skips the O(area) rederivation.
-    OccupancyGrid owned_gmaj;
-    if (unit_major_mirror == nullptr)
-      owned_gmaj = horiz ? grid.flipped(Flip::Transpose) : grid;
-    OccupancyGrid& gmaj = unit_major_mirror != nullptr ? *unit_major_mirror : owned_gmaj;
-    BitRow minmask(static_cast<std::uint32_t>(nmin));
-    for (std::int32_t m = 0; m < nmaj; ++m)
-      if (majors_present.test(static_cast<std::uint32_t>(m))) minmask |= rmaj.row(m);
-    bool legal = true;
-    for (std::int32_t m = 0; m < nmaj && legal; ++m) {
-      if (!majors_present.test(static_cast<std::uint32_t>(m))) continue;
-      const std::int32_t p = m + dmaj;
-      if (p < 0 || p >= nmaj) {
-        legal = false;
-        break;
-      }
-      const auto& sw = rmaj.row(m).words();
-      const auto& po = gmaj.row(p).words();
-      const auto& ps = rmaj.row(p).words();
-      const auto& go = gmaj.row(m).words();
-      const auto& mm = minmask.words();
-      for (std::size_t w = 0; w < sw.size(); ++w) {
-        // A member's swept cell holding a non-member atom, or an AOD cross
-        // trap capturing a bystander, each veto the single-command form.
-        if ((sw[w] & po[w] & ~ps[w]) != 0 || (go[w] & mm[w] & ~sw[w]) != 0) {
-          legal = false;
-          break;
-        }
-      }
-    }
-    if (legal) {
-      // Keep the mirror tracking the post-move grid (the greedy path does
-      // this batch by batch inside legalize_unit_step).
-      if (unit_major_mirror != nullptr) {
-        for (const Coord& s : remaining) {
-          const std::int32_t m = horiz ? s.col : s.row;
-          const std::int32_t x = horiz ? s.row : s.col;
-          gmaj.clear({m, x});
-        }
-        for (const Coord& s : remaining) {
-          const std::int32_t m = (horiz ? s.col : s.row) + dmaj;
-          const std::int32_t x = horiz ? s.row : s.col;
-          gmaj.set({m, x});
-        }
-      }
-      return {ParallelMove{dir, 1, std::move(remaining)}};
-    }
-    return legalize_unit_step(grid, remaining, gmaj, std::move(rmaj), std::move(majors_present),
-                              dir);
+  // Keep the mirror tracking the post-move grid (greedy_partition does this
+  // batch by batch).
+  if (major_mirror != nullptr) {
+    for (const Coord& s : whole) gmaj.clear({horiz ? s.col : s.row, horiz ? s.row : s.col});
+    for (const Coord& s : whole)
+      gmaj.set({(horiz ? s.col : s.row) + dmaj * steps, horiz ? s.row : s.col});
   }
-  {
-    ParallelMove whole{dir, steps, remaining};
-    const bool legal = !validate_move(grid, whole, /*check_aod=*/true).has_value();
-    if (legal) return {std::move(whole)};
-  }
-
-  OccupancyGrid scratch = grid;
-  // Greedy partition on word-parallel state. The accept decisions and their
-  // order are bit-identical to the historical per-cell std::set scan; only
-  // the data structures changed: `member`/`member_t` are the batch-membership
-  // set as bit grids, `scratch_t` mirrors `scratch` transposed so the column
-  // cross-check reads whole words exactly like the row check, and
-  // `rowmask`/`colmask` are the accepted row/column sets.
-  OccupancyGrid scratch_t = scratch.flipped(Flip::Transpose);
-  OccupancyGrid member(grid.height(), grid.width());
-  OccupancyGrid member_t(grid.width(), grid.height());
-  BitRow colmask(static_cast<std::uint32_t>(grid.width()));
-  BitRow rowmask(static_cast<std::uint32_t>(grid.height()));
-
-  while (!remaining.empty()) {
-    std::vector<Coord> batch;
-    std::vector<Coord> deferred;
-
-    for (const Coord& s : remaining) {
-      bool ok = true;
-      // Path/collision: every swept cell must be free or vacated by an atom
-      // already accepted into this lockstep batch.
-      for (std::int32_t k = 1; k <= steps && ok; ++k) {
-        const Coord cell = moved(s, dir, k);
-        if (!scratch.in_bounds(cell)) {
-          ok = false;
-        } else if (scratch.occupied(cell) && !member.occupied(cell)) {
-          ok = false;
-        }
-      }
-      // AOD cross-product: new traps created by adding row s.row / col s.col
-      // must not capture bystanders.
-      if (ok) ok = !aod_bystander_on_line(scratch.row(s.row), colmask, member.row(s.row), s.col);
-      if (ok)
-        ok = !aod_bystander_on_line(scratch_t.row(s.col), rowmask, member_t.row(s.col), s.row);
-      if (ok) {
-        batch.push_back(s);
-        member.set(s);
-        member_t.set({s.col, s.row});
-        rowmask.set(static_cast<std::uint32_t>(s.row));
-        colmask.set(static_cast<std::uint32_t>(s.col));
-      } else {
-        deferred.push_back(s);
-      }
-    }
-
-    QRM_ENSURES_MSG(!batch.empty(),
-                    "legalize made no progress; the intended move set is not realisable");
-
-    // Apply the batch to the scratch state: clear all sources, then set all
-    // destinations (lockstep semantics). Membership resets for the next batch.
-    for (const Coord& s : batch) {
-      scratch.clear(s);
-      scratch_t.clear({s.col, s.row});
-      member.clear(s);
-      member_t.clear({s.col, s.row});
-    }
-    for (const Coord& s : batch) {
-      const Coord d = moved(s, dir, steps);
-      QRM_ENSURES_MSG(!scratch.occupied(d), "legalize produced a colliding batch");
-      scratch.set(d);
-      scratch_t.set({d.col, d.row});
-    }
-    rowmask.reset();
-    colmask.reset();
-
-    out.push_back(ParallelMove{dir, steps, std::move(batch)});
-    remaining = std::move(deferred);
-  }
-  return out;
+  return {ParallelMove{dir, steps, std::move(whole)}};
 }
 
 }  // namespace qrm

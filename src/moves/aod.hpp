@@ -30,26 +30,34 @@ namespace qrm {
 }
 
 /// Partition an intended simultaneous displacement of `sites` (all moving
-/// `steps` in `dir`) into a sequence of AOD-legal, collision-free parallel
-/// moves, in execution order.
+/// `steps` cells in `dir`, for any `steps` >= 1) into a sequence of
+/// AOD-legal, collision-free parallel moves of that same step count, in
+/// execution order.
 ///
 /// The returned moves, applied in order to `grid`'s state, displace exactly
 /// the requested atoms; `grid` itself is not modified. Sites must be
 /// occupied and their intended destinations must be collision-free as a
-/// whole (i.e. the *intent* is valid; legalisation only handles the AOD
-/// cross-product and intra-set ordering).
+/// whole (i.e. the *intent* is valid: every swept cell is free or holds
+/// another site; legalisation only handles the AOD cross-product and
+/// intra-set ordering).
 ///
-/// `unit_major_mirror` (unit steps only) is a caller-maintained copy of the
-/// grid in major-line orientation — transposed for horizontal moves, plain
-/// for vertical — that legalize reads instead of re-deriving it (an O(area)
+/// One greedy partition serves every step count: sites are visited front
+/// first (nearest the destination side), minor axis ascending, and each
+/// joins the current move when its whole swept path is free or vacated by
+/// an accepted member and the AOD lines it adds capture no bystander. When
+/// the whole set is already legal it comes back as a single move.
+///
+/// `major_mirror` is an optional caller-maintained copy of the grid in
+/// major-line orientation — transposed for horizontal moves, plain for
+/// vertical — that legalize reads instead of re-deriving it (an O(area)
 /// transpose or copy otherwise paid on every call; the realizer calls this
-/// once per unit round). On return the mirror reflects `grid` AFTER the
+/// once per round). On return the mirror reflects `grid` AFTER the
 /// returned moves are applied, so a caller stepping many rounds keeps one
 /// mirror in sync for the whole sequence. The accept decisions are
 /// byte-identical with or without a mirror.
 [[nodiscard]] std::vector<ParallelMove> legalize(const OccupancyGrid& grid,
                                                  std::span<const Coord> sites, Direction dir,
                                                  std::int32_t steps,
-                                                 OccupancyGrid* unit_major_mirror = nullptr);
+                                                 OccupancyGrid* major_mirror = nullptr);
 
 }  // namespace qrm

@@ -1,7 +1,6 @@
 #include "moves/realizer.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "moves/aod.hpp"
@@ -64,35 +63,16 @@ void validate_assignment(const OccupancyGrid& grid, Axis axis, const LineAssignm
   }
 }
 
-/// Emit one unit-step round (all `sites` move one step in `dir`), splitting
+/// Emit one round (all `sites` move `steps` cells in `dir`), splitting
 /// into AOD-legal sub-moves when requested, and advance the grid.
 /// `major_mirror` (nullable) is the grid in major-line orientation, kept in
 /// sync by legalize across rounds so each round skips an O(area) transpose.
 void emit_round(OccupancyGrid& grid, std::vector<Coord> sites, Direction dir,
-                Schedule& schedule, const RealizeOptions& options,
+                std::int32_t steps, Schedule& schedule, const RealizeOptions& options,
                 OccupancyGrid* major_mirror) {
   if (sites.empty()) return;
   if (options.aod_legalize) {
-    for (auto& sub : legalize(grid, sites, dir, 1, major_mirror)) {
-      apply_move_unchecked(grid, sub);
-      schedule.push_back(std::move(sub));
-    }
-  } else {
-    ParallelMove move{dir, 1, std::move(sites)};
-    apply_move_unchecked(grid, move);
-    schedule.push_back(std::move(move));
-  }
-}
-
-/// Emit one multi-step hop round (`sites` move `steps` cells in `dir`) and
-/// advance the grid. Dead-channel mode never carries a major mirror:
-/// legalize only accepts one for unit steps, and hop rounds are rare enough
-/// that the per-round transpose it avoided does not matter.
-void emit_hop_round(OccupancyGrid& grid, std::vector<Coord> sites, Direction dir,
-                    std::int32_t steps, Schedule& schedule, const RealizeOptions& options) {
-  if (sites.empty()) return;
-  if (options.aod_legalize) {
-    for (auto& sub : legalize(grid, sites, dir, steps, nullptr)) {
+    for (auto& sub : legalize(grid, sites, dir, steps, major_mirror)) {
       apply_move_unchecked(grid, sub);
       schedule.push_back(std::move(sub));
     }
@@ -116,7 +96,7 @@ void emit_hop_round(OccupancyGrid& grid, std::vector<Coord> sites, Direction dir
 /// sweep forbids fixed atoms between a mover and its target).
 std::size_t run_phase_dead(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers,
                            bool toward_origin, Schedule& schedule,
-                           const RealizeOptions& options,
+                           const RealizeOptions& options, OccupancyGrid* major_mirror,
                            const std::vector<std::int32_t>& dead_positions) {
   const Direction dir = axis == Axis::Rows
                             ? (toward_origin ? Direction::West : Direction::East)
@@ -160,7 +140,7 @@ std::size_t run_phase_dead(OccupancyGrid& grid, Axis axis, std::vector<Mover>& m
       sites.reserve(end - begin);
       for (std::size_t i = begin; i < end; ++i)
         sites.push_back(to_coord(axis, active[i]->line, active[i]->pos));
-      emit_hop_round(grid, std::move(sites), dir, steps[begin], schedule, options);
+      emit_round(grid, std::move(sites), dir, steps[begin], schedule, options, major_mirror);
       for (std::size_t i = begin; i < end; ++i) active[i]->pos += delta * steps[begin];
       begin = end;
     }
@@ -199,7 +179,7 @@ std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers
     std::vector<Coord> stepping;
     stepping.reserve(active.size());
     for (Mover* m : active) stepping.push_back(to_coord(axis, m->line, m->pos));
-    emit_round(grid, std::move(stepping), dir, schedule, options, major_mirror);
+    emit_round(grid, std::move(stepping), dir, 1, schedule, options, major_mirror);
     for (Mover* m : active) m->pos += delta;
     // Arrived movers form a suffix of the displacement-sorted list.
     while (!active.empty() && remaining(*active.back()) == 0) active.pop_back();
@@ -234,22 +214,22 @@ RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
     const auto& perpendicular = axis == Axis::Rows ? options.dead->cols : options.dead->rows;
     if (!perpendicular.empty()) dead_positions = &perpendicular;
   }
+  // All rounds of both phases move along `axis`, so one major-oriented
+  // copy of the grid (transposed for row moves, plain for column moves)
+  // serves every legalize call; legalize advances it move by move,
+  // replacing the O(area) transpose it would otherwise pay per round.
+  OccupancyGrid major_mirror;
+  OccupancyGrid* mirror_ptr = nullptr;
+  if (options.aod_legalize && !movers.empty()) {
+    major_mirror = axis == Axis::Rows ? grid.flipped(Flip::Transpose) : grid;
+    mirror_ptr = &major_mirror;
+  }
   if (dead_positions != nullptr) {
-    result.rounds_toward_origin =
-        run_phase_dead(grid, axis, movers, true, schedule, options, *dead_positions);
-    result.rounds_away =
-        run_phase_dead(grid, axis, movers, false, schedule, options, *dead_positions);
+    result.rounds_toward_origin = run_phase_dead(grid, axis, movers, true, schedule, options,
+                                                 mirror_ptr, *dead_positions);
+    result.rounds_away = run_phase_dead(grid, axis, movers, false, schedule, options, mirror_ptr,
+                                        *dead_positions);
   } else {
-    // All rounds of both phases move along `axis`, so one major-oriented
-    // copy of the grid (transposed for row moves, plain for column moves)
-    // serves every legalize call; legalize advances it move by move,
-    // replacing the O(area) transpose it would otherwise pay per unit round.
-    OccupancyGrid major_mirror;
-    OccupancyGrid* mirror_ptr = nullptr;
-    if (options.aod_legalize && !movers.empty()) {
-      major_mirror = axis == Axis::Rows ? grid.flipped(Flip::Transpose) : grid;
-      mirror_ptr = &major_mirror;
-    }
     // Toward-origin movers are provably never blocked by fixed atoms,
     // arrived atoms, or away-movers (order preservation forbids all three),
     // so the phase completes in max|displacement| rounds; the away phase

@@ -1,12 +1,13 @@
 #pragma once
 /// \file realizer.hpp
 /// Turns per-line (row or column) atom re-placements into an executable
-/// schedule of unit-step parallel moves.
+/// schedule of parallel moves.
 ///
 /// Rearrangement planners think in terms of "this row's atoms should end up
 /// at these columns". The realizer lowers that intent to physics: rounds of
-/// simultaneous single-step shifts (the hardware's shift commands), with
-/// each round optionally partitioned into AOD-legal sub-moves. Motion is
+/// simultaneous single-step shifts (the hardware's shift commands; rounds
+/// crossing a dead line become multi-step hops), with each round optionally
+/// partitioned into AOD-legal sub-moves. Motion is
 /// order-preserving within every line, which is exactly the regime in which
 /// lockstep tweezer moves are collision-free.
 
@@ -52,8 +53,8 @@ struct RealizeOptions {
 };
 
 struct RealizeResult {
-  std::size_t rounds_toward_origin = 0;  ///< unit-step rounds moving W/N
-  std::size_t rounds_away = 0;           ///< unit-step rounds moving E/S
+  std::size_t rounds_toward_origin = 0;  ///< rounds moving W/N
+  std::size_t rounds_away = 0;           ///< rounds moving E/S
   std::size_t atoms_moved = 0;           ///< atoms with nonzero displacement
 };
 

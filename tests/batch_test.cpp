@@ -1,7 +1,6 @@
 // Tests for the qrm::batch subsystem: the shared qrm::ThreadPool substrate
 // (util/thread_pool.hpp) and the BatchPlanner's hard determinism guarantee —
-// identical outcomes for any worker count — plus the
-// ControlSystem::run_batch entry point.
+// identical outcomes for any worker count.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,7 @@
 #include "util/thread_pool.hpp"
 #include "lattice/region.hpp"
 #include "loading/loader.hpp"
-#include "runtime/control_system.hpp"
+#include "runtime/rearrangement_loop.hpp"
 #include "testutil.hpp"
 #include "util/rng.hpp"
 
@@ -338,35 +337,6 @@ TEST(BatchPlanner, RejectsBadConfigs) {
   config.grid_height = 0;
   EXPECT_THROW((void)batch::BatchPlanner(config).run(), PreconditionError);
   EXPECT_THROW((void)batch::BatchPlanner(config).run({}), PreconditionError);
-}
-
-// ---------------------------------------------------------------------------
-// ControlSystem entry point
-// ---------------------------------------------------------------------------
-
-TEST(ControlSystemBatch, RunBatchUsesTheSystemPlanAndStaysDeterministic) {
-  rt::SystemConfig system;
-  system.accelerator.plan.target = centered_square(24, 14);
-  const rt::ControlSystem control(system);
-
-  batch::BatchConfig request;
-  request.plan.target = centered_square(8, 4);  // overridden by the system's plan
-  request.grid_height = 24;
-  request.grid_width = 24;
-  request.fill = 0.6;
-  request.shots = 6;
-  request.exec.workers = 2;
-  const batch::BatchReport a = control.run_batch(request);
-  ASSERT_EQ(a.shots.size(), 6u);
-  for (const batch::ShotResult& shot : a.shots) {
-    // The system's 14x14 target governs: a filled shot holds exactly 196
-    // target atoms, which the request's 4x4 target could never require.
-    EXPECT_EQ(shot.defects_remaining,
-              196 - shot.final_grid.atom_count(system.accelerator.plan.target));
-  }
-  request.exec.workers = 5;
-  const batch::BatchReport b = control.run_batch(request);
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
 }
 
 }  // namespace

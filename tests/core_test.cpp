@@ -8,6 +8,7 @@
 
 #include "util/assert.hpp"
 #include "core/cpu_reference.hpp"
+#include "core/pass_driver.hpp"
 #include "core/planner.hpp"
 #include "core/quadrant_plan.hpp"
 #include "core/typical.hpp"
@@ -154,6 +155,16 @@ TEST(QrmPlanner, RectangularGridsAndTargets) {
   compact.mode = PlanMode::Compact;
   const PlanResult compact_result = QrmPlanner(compact).plan(initial);
   expect_plan_valid(initial, compact_result);
+}
+
+TEST(PassDriver, TakeResultNeedsAFinishedDrive) {
+  const OccupancyGrid initial = load_random(24, 24, {0.55, 7});
+  QrmConfig config;
+  config.target = centered_square(24, 14);
+  PassDriver driver(initial, config);
+  EXPECT_THROW((void)driver.take_result(), PreconditionError);
+  while (auto pass = driver.next()) driver.apply(std::move(*pass));
+  EXPECT_EQ(driver.take_result(), QrmPlanner(config).plan(initial));
 }
 
 TEST(QrmPlanner, EmptyGridProducesEmptySchedule) {

@@ -158,33 +158,56 @@ TEST(Aod, LegalizeHandsBlockedFollowerToLaterBatch) {
   g.set({0, 1});  // permanent blocker (not part of the move)
   const std::vector<Coord> sites{{0, 2}};
   EXPECT_THROW((void)legalize(g, sites, Direction::West, 1), InvariantError);
+  // A multi-step move is blocked by an atom anywhere on its swept path,
+  // not only by the one in the first cell.
+  OccupancyGrid far(3, 4);
+  far.set({0, 3});
+  far.set({0, 1});
+  const std::vector<Coord> far_sites{{0, 3}};
+  EXPECT_THROW((void)legalize(far, far_sites, Direction::West, 2), InvariantError);
 }
 
 TEST(Aod, LegalizeRandomisedAlwaysExecutable) {
-  // Property: for random grids, pick the set of all atoms that can shift one
-  // step west (destination empty); legalize must produce batches that run
-  // cleanly under full validation and move exactly the chosen atoms.
+  // Property: for random grids and random valid intents in every direction
+  // and step count, legalize must produce batches that run cleanly under
+  // full validation and move exactly the chosen atoms. A major mirror, when
+  // passed, must end equal to the post-move grid in major orientation.
   Rng rng(77);
   for (int trial = 0; trial < 30; ++trial) {
-    const OccupancyGrid g = load_random(12, 12, {0.45, 1000 + static_cast<std::uint64_t>(trial)});
-    std::vector<Coord> sites;
-    for (std::int32_t r = 0; r < 12; ++r) {
-      for (std::int32_t c = 1; c < 12; ++c) {
-        if (g.occupied({r, c}) && !g.occupied({r, c - 1})) sites.push_back({r, c});
+    const std::int32_t height = trial % 10 == 9 ? 70 : 12;
+    const std::int32_t width = trial % 10 == 9 ? 66 : 12;
+    const OccupancyGrid g =
+        load_random(height, width, {0.45, 1000 + static_cast<std::uint64_t>(trial)});
+    for (const Direction dir : kAllDirections) {
+      for (std::int32_t steps = 1; steps <= 4; ++steps) {
+        // Alternate maximal intents (every atom that can go) with sparse ones.
+        const std::vector<Coord> sites =
+            random_intent(g, dir, steps, rng, trial % 2 == 0 ? 1.0 : 0.5);
+        if (sites.empty()) continue;
+        OccupancyGrid expected = g;
+        for (const Coord& s : sites) expected.clear(s);
+        for (const Coord& s : sites) expected.set(moved(s, dir, steps));
+        for (const bool with_mirror : {false, true}) {
+          OccupancyGrid mirror = is_horizontal(dir) ? g.flipped(Flip::Transpose) : g;
+          const auto batches = legalize(g, sites, dir, steps, with_mirror ? &mirror : nullptr);
+          OccupancyGrid state = g;
+          std::size_t moved_atoms = 0;
+          for (const auto& b : batches) {
+            EXPECT_EQ(b.dir, dir);
+            EXPECT_EQ(b.steps, steps);
+            const auto violation = validate_move(state, b, true);
+            ASSERT_FALSE(violation.has_value()) << *violation;
+            apply_move_unchecked(state, b);
+            moved_atoms += b.sites.size();
+          }
+          EXPECT_EQ(moved_atoms, sites.size());
+          EXPECT_EQ(state, expected);
+          if (with_mirror) {
+            EXPECT_EQ(mirror, is_horizontal(dir) ? state.flipped(Flip::Transpose) : state);
+          }
+        }
       }
     }
-    if (sites.empty()) continue;
-    const auto batches = legalize(g, sites, Direction::West, 1);
-    OccupancyGrid state = g;
-    std::size_t moved = 0;
-    for (const auto& b : batches) {
-      const auto violation = validate_move(state, b, true);
-      ASSERT_FALSE(violation.has_value()) << *violation;
-      apply_move_unchecked(state, b);
-      moved += b.sites.size();
-    }
-    EXPECT_EQ(moved, sites.size());
-    EXPECT_EQ(state.atom_count(), g.atom_count());
   }
 }
 
@@ -427,6 +450,34 @@ TEST(Realizer, MultiLineRoundsShareCommands) {
   (void)realize_assignments(g, Axis::Rows, lines, s);
   ASSERT_EQ(s.size(), 1u);
   EXPECT_EQ(s[0].sites.size(), 2u);
+}
+
+TEST(Realizer, DeadColumnHopRoundSplitsOnCrossTrapBystander) {
+  // Dead columns 2 and 5: the movers at (0,3) and (2,6) each hop one dead
+  // column in the same round, both 2 steps West, so they share one hop
+  // command -- but their cross trap (0,6) holds a fixed atom, so the hop
+  // must split into two AOD-legal 2-step moves.
+  OccupancyGrid g = OccupancyGrid::from_strings({
+      "00010010",
+      "00000000",
+      "00000010",
+  });
+  const OccupancyGrid initial = g;
+  const DeadChannelMask dead{{}, {2, 5}};
+  Schedule s;
+  const std::vector<LineAssignment> lines{{0, {3}, {1}}, {2, {6}, {4}}};
+  const RealizeResult result =
+      realize_assignments(g, Axis::Rows, lines, s, {.aod_legalize = true, .dead = &dead});
+  EXPECT_EQ(result.rounds_toward_origin, 1u);
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s[0], (ParallelMove{Direction::West, 2, {{0, 3}}}));
+  EXPECT_EQ(s[1], (ParallelMove{Direction::West, 2, {{2, 6}}}));
+  EXPECT_EQ(g, OccupancyGrid::from_strings({
+                   "01000010",
+                   "00000000",
+                   "00001000",
+               }));
+  testutil::expect_replays_to(initial, s, g);
 }
 
 TEST(Realizer, RandomisedAssignmentsExecuteCleanly) {

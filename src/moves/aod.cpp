@@ -45,72 +45,131 @@ std::optional<std::string> aod_violation(const OccupancyGrid& grid, const Parall
 
 namespace {
 
-/// The greedy partition, run line-major on the grid in major-line
-/// orientation (`gmaj`: rows are the lines the move crosses) with the
-/// remaining intended sites bucketed the same way (`rmaj`). Candidates are
-/// visited major axis toward the front, minor axis ascending, and each is
-/// accepted into the current batch when its swept path is free (or vacated
-/// by an accepted member) and the AOD lines it adds capture no bystander.
-/// Rejected candidates have no side effects, which is what lets whole
-/// groups of them be skipped from word-level masks instead of being
-/// examined one by one:
-///   * path rejects: one AND-NOT of the group's `steps` forward lines,
+[[nodiscard]] bool disjoint(const BitRow& a, const BitRow& b) {
+  const auto& aw = a.words();
+  const auto& bw = b.words();
+  for (std::size_t w = 0; w < aw.size(); ++w)
+    if ((aw[w] & bw[w]) != 0) return false;
+  return true;
+}
+
+}  // namespace
+
+AodLegalizer::AodLegalizer(const OccupancyGrid& grid, bool horizontal)
+    : horiz_(horizontal),
+      gmaj_(horizontal ? grid.flipped(Flip::Transpose) : grid),
+      rmaj_(gmaj_.height(), gmaj_.width()),
+      mmaj_(gmaj_.height(), gmaj_.width()),
+      present_(static_cast<std::uint32_t>(gmaj_.height())),
+      acc_min_(static_cast<std::uint32_t>(gmaj_.width())),
+      bystander_minors_(acc_min_),
+      minmask_(acc_min_),
+      accepted_(acc_min_),
+      surv_(acc_min_.words().size()) {}
+
+OccupancyGrid AodLegalizer::take_grid() && {
+  if (horiz_) return gmaj_.flipped(Flip::Transpose);
+  return std::move(gmaj_);
+}
+
+void AodLegalizer::bucket(std::span<const Coord> sites, std::int32_t dmaj) {
+  // Bucket the intended sites by major line (the coordinate the move
+  // changes). Enumerating the buckets front-first with minors ascending
+  // gives the front_first order — atoms nearest the destination side come
+  // first, so chain followers see their leaders handled first — in linear
+  // time, and doubles as the duplicate check: a duplicated site would pass
+  // the occupancy check (both copies see the same atom) and then be emitted
+  // twice inside one ParallelMove — physically one tweezer trying to pick
+  // the same atom up twice.
+  std::optional<Coord> duplicate;
+  for (const Coord& s : sites) {
+    const Coord b{horiz_ ? s.col : s.row, horiz_ ? s.row : s.col};
+    QRM_EXPECTS_MSG(gmaj_.in_bounds(b) && gmaj_.occupied(b), "legalize: site must hold an atom");
+    if (rmaj_.occupied(b) && !duplicate.has_value()) duplicate = s;
+    rmaj_.set(b);
+    present_.set(static_cast<std::uint32_t>(b.row));
+  }
+  QRM_EXPECTS_MSG(!duplicate.has_value(),
+                  "legalize: duplicate site " + qrm::to_string(*duplicate) +
+                      " in the intended move set");
+
+  live_.clear();
+  const auto& pw = present_.words();
+  for (std::size_t w = 0; w < pw.size(); ++w) {
+    for (BitRow::Word bits = pw[w]; bits != 0; bits &= bits - 1) {
+      const auto low = static_cast<std::size_t>(std::countr_zero(bits));
+      live_.push_back(static_cast<std::int32_t>(w * BitRow::kWordBits + low));
+    }
+  }
+  if (dmaj > 0) std::reverse(live_.begin(), live_.end());  // front-first
+  present_.reset();
+}
+
+bool AodLegalizer::legal_as_one(std::int32_t dmaj, std::int32_t steps) {
+  // An AOD cross trap capturing a bystander, or a member's swept cell
+  // holding a non-member atom, each veto the single-command form. The
+  // source checks validate_move would add are guaranteed by the
+  // preconditions of bucket().
+  minmask_.reset();
+  for (const std::int32_t m : live_) minmask_ |= rmaj_.row(m);
+  const auto& mm = minmask_.words();
+  for (const std::int32_t m : live_) {
+    const std::int32_t far = m + dmaj * steps;
+    if (far < 0 || far >= gmaj_.height()) return false;
+    const auto& sw = rmaj_.row(m).words();
+    const auto& go = gmaj_.row(m).words();
+    for (std::size_t w = 0; w < sw.size(); ++w)
+      if ((go[w] & mm[w] & ~sw[w]) != 0) return false;
+    for (std::int32_t k = 1; k <= steps; ++k) {
+      const auto& po = gmaj_.row(m + dmaj * k).words();
+      const auto& ps = rmaj_.row(m + dmaj * k).words();
+      for (std::size_t w = 0; w < sw.size(); ++w)
+        if ((sw[w] & po[w] & ~ps[w]) != 0) return false;
+    }
+  }
+  return true;
+}
+
+void AodLegalizer::apply(const OccupancyGrid& masks, std::span<const std::int32_t> lines,
+                         std::int32_t shift) {
+  for (const std::int32_t m : lines) gmaj_.and_not_row(m, masks.row(m));
+  for (const std::int32_t m : lines) {
+    QRM_ENSURES_MSG(disjoint(gmaj_.row(m + shift), masks.row(m)),
+                    "legalize produced a colliding batch");
+    gmaj_.or_row(m + shift, masks.row(m));
+  }
+}
+
+/// The greedy partition, run line-major over the live major lines.
+/// Candidates are visited major axis toward the front, minor axis
+/// ascending, and each is accepted into the current batch when its swept
+/// path is free (or vacated by an accepted member) and the AOD lines it adds
+/// capture no bystander. Rejected candidates have no side effects, which is
+/// what lets whole groups of them be decided from word-level masks instead
+/// of being examined one by one:
 ///   * group-axis cross rejects: one sweep of the group line against the
 ///     accepted-minor mask (0 bystanders = all pass, 2+ = all fail, exactly
 ///     1 = only the bystander site itself may proceed, and it unblocks the
 ///     minors after it only by being accepted),
+///   * path rejects: one AND-NOT of the group's `steps` forward lines,
 ///   * minor-axis cross checks: one running OR of the bystander minors of
 ///     the accepted major lines.
-/// `gmaj` is advanced batch by batch and ends as the post-move grid.
-std::vector<ParallelMove> greedy_partition(OccupancyGrid& gmaj, OccupancyGrid rmaj,
-                                           BitRow majors_present, std::size_t left,
-                                           Direction dir, std::int32_t steps) {
-  const bool horiz = is_horizontal(dir);
-  const Coord delta = direction_delta(dir);
-  const std::int32_t dmaj = horiz ? delta.col : delta.row;  // -1 or +1
-  const std::int32_t nmaj = gmaj.height();
-  const std::int32_t nmin = gmaj.width();
-  const auto site_at = [horiz](std::int32_t m, std::int32_t x) {
-    return horiz ? Coord{x, m} : Coord{m, x};
-  };
-
-  // Batch membership as a bit grid (reset between batches), and the
-  // accepted-minor mask of the batch.
-  OccupancyGrid mmaj(nmaj, nmin);
-  BitRow acc_min(static_cast<std::uint32_t>(nmin));
-  // Minors holding a bystander atom in some already-processed accepted major
-  // line. A major line's bystander set is final once its group finishes
-  // (accepts only ever happen during the line's own group visit), so this
-  // running OR answers every candidate's minor-line check in O(1).
-  BitRow bystander_minors(static_cast<std::uint32_t>(nmin));
+/// A line's accepted sites are therefore one mask, mmaj_.row(m), and the
+/// batch is applied line by line with word operations.
+std::vector<ParallelMove> AodLegalizer::greedy_partition(std::size_t left, Direction dir,
+                                                         std::int32_t dmaj, std::int32_t steps) {
   std::vector<ParallelMove> out;
-  std::vector<BitRow::Word> surv(gmaj.row(0).words().size());
-  // Reused across batches; each emitted move gets an exact-size copy, so
-  // plans kept by callers (plan cache, delta replanner) carry no slack.
-  std::vector<Coord> batch;
   while (left > 0) {
-    batch.clear();
-    for (std::int32_t i = 0; i < nmaj; ++i) {
-      const std::int32_t m = dmaj < 0 ? i : nmaj - 1 - i;  // front-first
-      if (!majors_present.test(static_cast<std::uint32_t>(m))) continue;
+    batch_.clear();
+    batch_lines_.clear();
+    for (const std::int32_t m : live_) {
       const std::int32_t far = m + dmaj * steps;
-      if (far < 0 || far >= nmaj) continue;  // whole group walks out of bounds
-      // Path check for every candidate of the group at once: each swept
-      // cell must be free or vacated by an already-accepted member.
-      const auto& cw = rmaj.row(m).words();
-      const auto& bw = bystander_minors.words();
-      for (std::size_t w = 0; w < surv.size(); ++w) surv[w] = cw[w] & ~bw[w];
-      for (std::int32_t k = 1; k <= steps; ++k) {
-        const auto& pw = gmaj.row(m + dmaj * k).words();
-        const auto& pm = mmaj.row(m + dmaj * k).words();
-        for (std::size_t w = 0; w < surv.size(); ++w) surv[w] &= ~(pw[w] & ~pm[w]);
-      }
-      if (std::all_of(surv.begin(), surv.end(), [](BitRow::Word w) { return w == 0; })) continue;
+      if (far < 0 || far >= gmaj_.height()) continue;  // whole group walks out of bounds
       // Group-axis cross state: minors already accepted elsewhere that hold
       // an atom on this major line. (The group's own members are excluded by
-      // construction: mmaj.row(m) is empty until this group accepts.)
-      const auto& gw = gmaj.row(m).words();
-      const auto& aw = acc_min.words();
+      // construction: mmaj_.row(m) is empty until this group accepts.)
+      const auto& gw = gmaj_.row(m).words();
+      const auto& aw = acc_min_.words();
       std::int32_t vcount = 0;
       std::int32_t bystander = -1;
       for (std::size_t w = 0; w < gw.size() && vcount < 2; ++w) {
@@ -123,174 +182,96 @@ std::vector<ParallelMove> greedy_partition(OccupancyGrid& gmaj, OccupancyGrid rm
         }
       }
       if (vcount >= 2) continue;  // no candidate can clear two bystanders
-      bool gated = vcount == 1;   // only `bystander` itself may be accepted
-                                  // until it joins the batch
-      bool group_accepted = false;
-      bool group_done = false;
-      for (std::size_t w = 0; w < surv.size() && !group_done; ++w) {
-        BitRow::Word bits = surv[w];
-        while (bits != 0) {
-          const auto x = static_cast<std::int32_t>(w * BitRow::kWordBits +
-                                                   static_cast<std::size_t>(std::countr_zero(bits)));
-          bits &= bits - 1;
-          if (gated) {
-            if (x < bystander) continue;  // fails the group-axis check
-            if (x > bystander) {          // bystander was not cleared
-              group_done = true;
-              break;
-            }
-          }
-          // The minor-axis cross check already ran word-parallel: surv was
-          // masked by bystander_minors, and bystanders on this minor line in
-          // the group's own major are the candidate itself (excluded).
-          batch.push_back(site_at(m, x));
-          mmaj.set({m, x});
-          acc_min.set(static_cast<std::uint32_t>(x));
-          group_accepted = true;
-          gated = false;
-        }
+      // Path check for every candidate of the group at once: each swept
+      // cell must be free or vacated by an already-accepted member. The
+      // minor-axis cross check rides along: bystanders on a candidate's
+      // minor line in the group's own major are the candidate itself.
+      const auto& cw = rmaj_.row(m).words();
+      const auto& bw = bystander_minors_.words();
+      for (std::size_t w = 0; w < surv_.size(); ++w) surv_[w] = cw[w] & ~bw[w];
+      for (std::int32_t k = 1; k <= steps; ++k) {
+        const auto& pw = gmaj_.row(m + dmaj * k).words();
+        const auto& pm = mmaj_.row(m + dmaj * k).words();
+        for (std::size_t w = 0; w < surv_.size(); ++w) surv_[w] &= ~(pw[w] & ~pm[w]);
       }
-      if (group_accepted) {
-        // This line's bystander set is now final for the pass; fold it in.
-        const auto& go = gmaj.row(m).words();
-        const auto& mo = mmaj.row(m).words();
-        for (std::size_t w = 0; w < surv.size(); ++w)
-          bystander_minors.set_word(static_cast<std::uint32_t>(w),
-                                    bystander_minors.words()[w] | (go[w] & ~mo[w]));
+      if (vcount == 1) {
+        // Only the bystander site itself may be accepted; once it joins,
+        // the minors after it are unblocked and the ones before stay out.
+        const auto bi = static_cast<std::size_t>(bystander) / BitRow::kWordBits;
+        const auto bit = static_cast<std::uint32_t>(bystander) % BitRow::kWordBits;
+        if (((surv_[bi] >> bit) & 1U) == 0) continue;
+        std::fill(surv_.begin(), surv_.begin() + static_cast<std::ptrdiff_t>(bi), 0);
+        surv_[bi] &= ~BitRow::Word{0} << bit;
       }
+      if (std::all_of(surv_.begin(), surv_.end(), [](BitRow::Word w) { return w == 0; })) continue;
+      for (std::size_t w = 0; w < surv_.size(); ++w)
+        for (BitRow::Word bits = surv_[w]; bits != 0; bits &= bits - 1)
+          batch_.push_back(site_at(
+              m, static_cast<std::int32_t>(w * BitRow::kWordBits +
+                                           static_cast<std::size_t>(std::countr_zero(bits)))));
+      accepted_.assign_words(surv_);
+      mmaj_.or_row(m, accepted_);
+      acc_min_ |= accepted_;
+      // This line's bystander set is now final for the pass; fold it in.
+      for (std::size_t w = 0; w < surv_.size(); ++w)
+        bystander_minors_.set_word(static_cast<std::uint32_t>(w),
+                                   bystander_minors_.words()[w] | (gw[w] & ~surv_[w]));
+      batch_lines_.push_back(m);
     }
 
-    QRM_ENSURES_MSG(!batch.empty(),
+    QRM_ENSURES_MSG(!batch_.empty(),
                     "legalize made no progress; the intended move set is not realisable");
 
-    // Apply the batch: clear all sources, then set all destinations
-    // (lockstep semantics), and reset the per-batch membership state.
-    for (const Coord& s : batch) {
-      const std::int32_t m = horiz ? s.col : s.row;
-      const std::int32_t x = horiz ? s.row : s.col;
-      gmaj.clear({m, x});
-      mmaj.clear({m, x});
-      rmaj.clear({m, x});
+    apply(mmaj_, batch_lines_, dmaj * steps);
+    bool emptied = false;
+    for (const std::int32_t m : batch_lines_) {
+      rmaj_.and_not_row(m, mmaj_.row(m));
+      mmaj_.and_not_row(m, mmaj_.row(m));
+      emptied = emptied || rmaj_.row(m).none();
     }
-    for (const Coord& s : batch) {
-      const std::int32_t m = (horiz ? s.col : s.row) + dmaj * steps;
-      const std::int32_t x = horiz ? s.row : s.col;
-      QRM_ENSURES_MSG(!gmaj.occupied({m, x}), "legalize produced a colliding batch");
-      gmaj.set({m, x});
-    }
-    std::int32_t prev_major = -1;
-    for (const Coord& s : batch) {
-      const std::int32_t m = horiz ? s.col : s.row;
-      if (m == prev_major) continue;  // batch is ordered by major line
-      prev_major = m;
-      if (rmaj.row(m).none()) majors_present.set(static_cast<std::uint32_t>(m), false);
-    }
-    acc_min.reset();
-    bystander_minors.reset();
-    left -= batch.size();
-    out.push_back(ParallelMove{dir, steps, std::vector<Coord>(batch.begin(), batch.end())});
+    if (emptied) std::erase_if(live_, [this](std::int32_t m) { return rmaj_.row(m).none(); });
+    acc_min_.reset();
+    bystander_minors_.reset();
+    left -= batch_.size();
+    // Each emitted move gets an exact-size copy, so plans kept by callers
+    // (plan cache, delta replanner) carry no slack.
+    out.push_back(ParallelMove{dir, steps, std::vector<Coord>(batch_.begin(), batch_.end())});
   }
   return out;
 }
 
-}  // namespace
-
-std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Coord> sites,
-                                   Direction dir, std::int32_t steps,
-                                   OccupancyGrid* major_mirror) {
+std::vector<ParallelMove> AodLegalizer::legalize(std::span<const Coord> sites, Direction dir,
+                                                 std::int32_t steps) {
   QRM_EXPECTS(steps >= 1);
+  QRM_EXPECTS_MSG(is_horizontal(dir) == horiz_, "legalize: direction off the legalizer's axis");
   if (sites.empty()) return {};
-
-  const bool horiz = is_horizontal(dir);
   const Coord delta = direction_delta(dir);
-  const std::int32_t dmaj = horiz ? delta.col : delta.row;
-  const std::int32_t nmaj = horiz ? grid.width() : grid.height();
-  const std::int32_t nmin = horiz ? grid.height() : grid.width();
-
-  // Bucket the intended sites by major line (the coordinate the move
-  // changes). Enumerating the buckets front-first with minors ascending
-  // gives the front_first order — atoms nearest the destination side come
-  // first, so chain followers see their leaders handled first — in linear
-  // time, and doubles as the duplicate check: a duplicated site would pass
-  // the occupancy check (both copies see the same atom) and then be emitted
-  // twice inside one ParallelMove — physically one tweezer trying to pick
-  // the same atom up twice.
-  OccupancyGrid rmaj(nmaj, nmin);
-  BitRow majors_present(static_cast<std::uint32_t>(nmaj));
-  std::optional<Coord> duplicate;
-  for (const Coord& s : sites) {
-    QRM_EXPECTS_MSG(grid.in_bounds(s) && grid.occupied(s), "legalize: site must hold an atom");
-    const Coord bucket{horiz ? s.col : s.row, horiz ? s.row : s.col};
-    if (rmaj.occupied(bucket) && !duplicate.has_value()) duplicate = s;
-    rmaj.set(bucket);
-    majors_present.set(static_cast<std::uint32_t>(bucket.row));
-  }
-  QRM_EXPECTS_MSG(!duplicate.has_value(),
-                  "legalize: duplicate site " + qrm::to_string(*duplicate) +
-                      " in the intended move set");
-
-  // The probe and the greedy partition both read the grid in major-line
-  // orientation; a caller-maintained mirror skips the O(area) rederivation.
-  OccupancyGrid owned_gmaj;
-  if (major_mirror == nullptr) owned_gmaj = horiz ? grid.flipped(Flip::Transpose) : grid;
-  OccupancyGrid& gmaj = major_mirror != nullptr ? *major_mirror : owned_gmaj;
-
+  const std::int32_t dmaj = horiz_ ? delta.col : delta.row;  // -1 or +1
+  bucket(sites, dmaj);
   // Fast path: when the whole intended set is already legal as one lockstep
-  // command (frequent for sparse rounds), skip the greedy partition. The
-  // source checks validate_move would add are guaranteed by the
-  // preconditions above.
-  BitRow minmask(static_cast<std::uint32_t>(nmin));
-  for (std::int32_t m = 0; m < nmaj; ++m)
-    if (majors_present.test(static_cast<std::uint32_t>(m))) minmask |= rmaj.row(m);
-  bool legal = true;
-  for (std::int32_t m = 0; m < nmaj && legal; ++m) {
-    if (!majors_present.test(static_cast<std::uint32_t>(m))) continue;
-    const std::int32_t far = m + dmaj * steps;
-    if (far < 0 || far >= nmaj) {
-      legal = false;
-      break;
-    }
-    // An AOD cross trap capturing a bystander, or a member's swept cell
-    // holding a non-member atom, each veto the single-command form.
-    const auto& sw = rmaj.row(m).words();
-    const auto& go = gmaj.row(m).words();
-    const auto& mm = minmask.words();
-    for (std::size_t w = 0; w < sw.size() && legal; ++w) legal = (go[w] & mm[w] & ~sw[w]) == 0;
-    for (std::int32_t k = 1; k <= steps && legal; ++k) {
-      const auto& po = gmaj.row(m + dmaj * k).words();
-      const auto& ps = rmaj.row(m + dmaj * k).words();
-      for (std::size_t w = 0; w < sw.size() && legal; ++w) legal = (sw[w] & po[w] & ~ps[w]) == 0;
-    }
-  }
-  if (!legal) {
-    return greedy_partition(gmaj, std::move(rmaj), std::move(majors_present), sites.size(), dir,
-                            steps);
-  }
+  // command (frequent for sparse rounds), skip the greedy partition.
+  if (!legal_as_one(dmaj, steps)) return greedy_partition(sites.size(), dir, dmaj, steps);
 
   std::vector<Coord> whole;
   whole.reserve(sites.size());
-  for (std::int32_t i = 0; i < nmaj; ++i) {
-    const std::int32_t m = dmaj < 0 ? i : nmaj - 1 - i;  // front-first
-    if (!majors_present.test(static_cast<std::uint32_t>(m))) continue;
-    const auto& ws = rmaj.row(m).words();
-    for (std::size_t w = 0; w < ws.size(); ++w) {
-      BitRow::Word bits = ws[w];
-      while (bits != 0) {
-        const auto x = static_cast<std::int32_t>(w * BitRow::kWordBits +
-                                                 static_cast<std::size_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-        whole.push_back(horiz ? Coord{x, m} : Coord{m, x});
-      }
-    }
+  for (const std::int32_t m : live_) {
+    const auto& ws = rmaj_.row(m).words();
+    for (std::size_t w = 0; w < ws.size(); ++w)
+      for (BitRow::Word bits = ws[w]; bits != 0; bits &= bits - 1)
+        whole.push_back(site_at(m, static_cast<std::int32_t>(
+                                       w * BitRow::kWordBits +
+                                       static_cast<std::size_t>(std::countr_zero(bits)))));
   }
-  // Keep the mirror tracking the post-move grid (greedy_partition does this
-  // batch by batch).
-  if (major_mirror != nullptr) {
-    for (const Coord& s : whole) gmaj.clear({horiz ? s.col : s.row, horiz ? s.row : s.col});
-    for (const Coord& s : whole)
-      gmaj.set({(horiz ? s.col : s.row) + dmaj * steps, horiz ? s.row : s.col});
-  }
+  apply(rmaj_, live_, dmaj * steps);
+  for (const std::int32_t m : live_) rmaj_.and_not_row(m, rmaj_.row(m));
   return {ParallelMove{dir, steps, std::move(whole)}};
+}
+
+std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Coord> sites,
+                                   Direction dir, std::int32_t steps) {
+  QRM_EXPECTS(steps >= 1);
+  if (sites.empty()) return {};
+  return AodLegalizer(grid, is_horizontal(dir)).legalize(sites, dir, steps);
 }
 
 }  // namespace qrm

@@ -1,6 +1,7 @@
 #include "moves/realizer.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "moves/aod.hpp"
@@ -63,19 +64,15 @@ void validate_assignment(const OccupancyGrid& grid, Axis axis, const LineAssignm
   }
 }
 
-/// Emit one round (all `sites` move `steps` cells in `dir`), splitting
-/// into AOD-legal sub-moves when requested, and advance the grid.
-/// `major_mirror` (nullable) is the grid in major-line orientation, kept in
-/// sync by legalize across rounds so each round skips an O(area) transpose.
+/// Emit one round (all `sites` move `steps` cells in `dir`). With a
+/// legalizer the round is split into AOD-legal sub-moves and the legalizer
+/// advances its own grid (written back to `grid` when realize ends);
+/// otherwise it is one ParallelMove applied to `grid` here.
 void emit_round(OccupancyGrid& grid, std::vector<Coord> sites, Direction dir,
-                std::int32_t steps, Schedule& schedule, const RealizeOptions& options,
-                OccupancyGrid* major_mirror) {
+                std::int32_t steps, Schedule& schedule, AodLegalizer* legalizer) {
   if (sites.empty()) return;
-  if (options.aod_legalize) {
-    for (auto& sub : legalize(grid, sites, dir, steps, major_mirror)) {
-      apply_move_unchecked(grid, sub);
-      schedule.push_back(std::move(sub));
-    }
+  if (legalizer != nullptr) {
+    for (auto& sub : legalizer->legalize(sites, dir, steps)) schedule.push_back(std::move(sub));
   } else {
     ParallelMove move{dir, steps, std::move(sites)};
     apply_move_unchecked(grid, move);
@@ -95,8 +92,7 @@ void emit_round(OccupancyGrid& grid, std::vector<Coord> sites, Direction dir,
 /// moved this round or was free at validation time (the order-consistency
 /// sweep forbids fixed atoms between a mover and its target).
 std::size_t run_phase_dead(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers,
-                           bool toward_origin, Schedule& schedule,
-                           const RealizeOptions& options, OccupancyGrid* major_mirror,
+                           bool toward_origin, Schedule& schedule, AodLegalizer* legalizer,
                            const std::vector<std::int32_t>& dead_positions) {
   const Direction dir = axis == Axis::Rows
                             ? (toward_origin ? Direction::West : Direction::East)
@@ -140,7 +136,7 @@ std::size_t run_phase_dead(OccupancyGrid& grid, Axis axis, std::vector<Mover>& m
       sites.reserve(end - begin);
       for (std::size_t i = begin; i < end; ++i)
         sites.push_back(to_coord(axis, active[i]->line, active[i]->pos));
-      emit_round(grid, std::move(sites), dir, steps[begin], schedule, options, major_mirror);
+      emit_round(grid, std::move(sites), dir, steps[begin], schedule, legalizer);
       for (std::size_t i = begin; i < end; ++i) active[i]->pos += delta * steps[begin];
       begin = end;
     }
@@ -157,8 +153,7 @@ std::size_t run_phase_dead(OccupancyGrid& grid, Axis axis, std::vector<Mover>& m
 /// round only touches the prefix still in motion; total work is the sum of
 /// displacements, not movers x rounds.
 std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers,
-                      bool toward_origin, Schedule& schedule, const RealizeOptions& options,
-                      OccupancyGrid* major_mirror) {
+                      bool toward_origin, Schedule& schedule, AodLegalizer* legalizer) {
   const Direction dir = axis == Axis::Rows
                             ? (toward_origin ? Direction::West : Direction::East)
                             : (toward_origin ? Direction::North : Direction::South);
@@ -179,7 +174,7 @@ std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers
     std::vector<Coord> stepping;
     stepping.reserve(active.size());
     for (Mover* m : active) stepping.push_back(to_coord(axis, m->line, m->pos));
-    emit_round(grid, std::move(stepping), dir, 1, schedule, options, major_mirror);
+    emit_round(grid, std::move(stepping), dir, 1, schedule, legalizer);
     for (Mover* m : active) m->pos += delta;
     // Arrived movers form a suffix of the displacement-sorted list.
     while (!active.empty() && remaining(*active.back()) == 0) active.pop_back();
@@ -214,30 +209,26 @@ RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
     const auto& perpendicular = axis == Axis::Rows ? options.dead->cols : options.dead->rows;
     if (!perpendicular.empty()) dead_positions = &perpendicular;
   }
-  // All rounds of both phases move along `axis`, so one major-oriented
-  // copy of the grid (transposed for row moves, plain for column moves)
-  // serves every legalize call; legalize advances it move by move,
-  // replacing the O(area) transpose it would otherwise pay per round.
-  OccupancyGrid major_mirror;
-  OccupancyGrid* mirror_ptr = nullptr;
-  if (options.aod_legalize && !movers.empty()) {
-    major_mirror = axis == Axis::Rows ? grid.flipped(Flip::Transpose) : grid;
-    mirror_ptr = &major_mirror;
-  }
+  // All rounds of both phases move along `axis`, so one legalizer (which
+  // keeps the grid in major-line orientation) serves every round and the
+  // grid is written back from it once, after the last round.
+  std::optional<AodLegalizer> legalizer;
+  if (options.aod_legalize && !movers.empty()) legalizer.emplace(grid, axis == Axis::Rows);
+  AodLegalizer* const legalizer_ptr = legalizer.has_value() ? &*legalizer : nullptr;
   if (dead_positions != nullptr) {
-    result.rounds_toward_origin = run_phase_dead(grid, axis, movers, true, schedule, options,
-                                                 mirror_ptr, *dead_positions);
-    result.rounds_away = run_phase_dead(grid, axis, movers, false, schedule, options, mirror_ptr,
-                                        *dead_positions);
+    result.rounds_toward_origin =
+        run_phase_dead(grid, axis, movers, true, schedule, legalizer_ptr, *dead_positions);
+    result.rounds_away =
+        run_phase_dead(grid, axis, movers, false, schedule, legalizer_ptr, *dead_positions);
   } else {
     // Toward-origin movers are provably never blocked by fixed atoms,
     // arrived atoms, or away-movers (order preservation forbids all three),
     // so the phase completes in max|displacement| rounds; the away phase
     // mirrors it.
-    result.rounds_toward_origin =
-        run_phase(grid, axis, movers, true, schedule, options, mirror_ptr);
-    result.rounds_away = run_phase(grid, axis, movers, false, schedule, options, mirror_ptr);
+    result.rounds_toward_origin = run_phase(grid, axis, movers, true, schedule, legalizer_ptr);
+    result.rounds_away = run_phase(grid, axis, movers, false, schedule, legalizer_ptr);
   }
+  if (legalizer.has_value()) grid = std::move(*legalizer).take_grid();
 
   for (const auto& m : movers) {
     QRM_ENSURES_MSG(m.pos == m.target, "realizer failed to deliver an atom");

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
 
 #include "util/assert.hpp"
@@ -170,8 +172,9 @@ TEST(Aod, LegalizeHandsBlockedFollowerToLaterBatch) {
 TEST(Aod, LegalizeRandomisedAlwaysExecutable) {
   // Property: for random grids and random valid intents in every direction
   // and step count, legalize must produce batches that run cleanly under
-  // full validation and move exactly the chosen atoms. A major mirror, when
-  // passed, must end equal to the post-move grid in major orientation.
+  // full validation and move exactly the chosen atoms. An AodLegalizer
+  // object must return the same batches as the free function and end
+  // holding the post-move grid.
   Rng rng(77);
   for (int trial = 0; trial < 30; ++trial) {
     const std::int32_t height = trial % 10 == 9 ? 70 : 12;
@@ -187,9 +190,10 @@ TEST(Aod, LegalizeRandomisedAlwaysExecutable) {
         OccupancyGrid expected = g;
         for (const Coord& s : sites) expected.clear(s);
         for (const Coord& s : sites) expected.set(moved(s, dir, steps));
-        for (const bool with_mirror : {false, true}) {
-          OccupancyGrid mirror = is_horizontal(dir) ? g.flipped(Flip::Transpose) : g;
-          const auto batches = legalize(g, sites, dir, steps, with_mirror ? &mirror : nullptr);
+        for (const bool with_object : {false, true}) {
+          AodLegalizer legalizer(g, is_horizontal(dir));
+          const auto batches =
+              with_object ? legalizer.legalize(sites, dir, steps) : legalize(g, sites, dir, steps);
           OccupancyGrid state = g;
           std::size_t moved_atoms = 0;
           for (const auto& b : batches) {
@@ -202,10 +206,43 @@ TEST(Aod, LegalizeRandomisedAlwaysExecutable) {
           }
           EXPECT_EQ(moved_atoms, sites.size());
           EXPECT_EQ(state, expected);
-          if (with_mirror) {
-            EXPECT_EQ(mirror, is_horizontal(dir) ? state.flipped(Flip::Transpose) : state);
+          if (with_object) {
+            EXPECT_EQ(std::move(legalizer).take_grid(), state);
           }
         }
+      }
+    }
+  }
+}
+
+TEST(Aod, LegalizerReuseMatchesFreshCalls) {
+  // One legalizer object driven through a seeded sequence of rounds along
+  // one axis, the way the realizer drives it, must return exactly the
+  // batches of a fresh free-function call on the current grid, every batch
+  // must execute under the AOD check, and its grid must track the replay.
+  Rng rng(91);
+  for (int trial = 0; trial < 8; ++trial) {
+    const bool wide = trial % 4 == 3;
+    OccupancyGrid state = load_random(wide ? 70 : 12, wide ? 66 : 12,
+                                      {0.45, 3000 + static_cast<std::uint64_t>(trial)});
+    for (const bool horizontal : {true, false}) {
+      AodLegalizer legalizer(state, horizontal);
+      const std::array<Direction, 2> phases =
+          horizontal ? std::array{Direction::West, Direction::East}
+                     : std::array{Direction::North, Direction::South};
+      for (int round = 0; round < 12; ++round) {
+        const Direction dir = phases[rng.uniform_below(2)];
+        const auto steps = static_cast<std::int32_t>(1 + rng.uniform_below(4));
+        const std::vector<Coord> sites =
+            random_intent(state, dir, steps, rng, round % 2 == 0 ? 1.0 : 0.5);
+        const auto fresh = legalize(state, sites, dir, steps);
+        const auto batches = legalizer.legalize(sites, dir, steps);
+        EXPECT_EQ(batches, fresh) << "trial " << trial << " round " << round;
+        for (const auto& b : batches) {
+          ASSERT_NO_THROW(apply_move(state, b, true));
+        }
+        AodLegalizer copy = legalizer;
+        EXPECT_EQ(std::move(copy).take_grid(), state) << "trial " << trial << " round " << round;
       }
     }
   }
@@ -481,30 +518,63 @@ TEST(Realizer, DeadColumnHopRoundSplitsOnCrossTrapBystander) {
 }
 
 TEST(Realizer, RandomisedAssignmentsExecuteCleanly) {
-  // Property: random per-row subsets mapped to random order-preserving
-  // distinct targets realize into schedules that replay cleanly.
+  // Property: random per-line subsets mapped to random order-preserving
+  // distinct targets realize into schedules that replay cleanly, conserve
+  // atoms, and land on the grid realize_assignments leaves behind (written
+  // back once, after the last round, when legalizing). Covers both axes,
+  // with and without legalisation (unlegalized rounds break the AOD rule by
+  // design, so their replay skips that check) and with and without dead
+  // lines to hop.
   Rng rng(5);
+  const DeadChannelMask dead{{3, 8}, {2, 5, 11}};
   for (int trial = 0; trial < 25; ++trial) {
-    OccupancyGrid g = load_random(10, 14, {0.4, 2000 + static_cast<std::uint64_t>(trial)});
-    const OccupancyGrid initial = g;
-    std::vector<LineAssignment> lines;
-    for (std::int32_t r = 0; r < g.height(); ++r) {
-      const auto atoms = g.row(r).set_positions();
-      if (atoms.empty()) continue;
-      // Move every atom of the row to a fresh ascending random placement.
-      std::set<std::int32_t> placement;
-      while (placement.size() < atoms.size()) {
-        placement.insert(static_cast<std::int32_t>(rng.uniform_below(14)));
+    for (const Axis axis : {Axis::Rows, Axis::Cols}) {
+      for (const bool with_dead : {false, true}) {
+        OccupancyGrid initial =
+            load_random(10, 14, {0.4, 2000 + static_cast<std::uint64_t>(trial)});
+        if (with_dead) initial = mask_dead_lines(initial, dead);
+        const std::int32_t lines = axis == Axis::Rows ? initial.height() : initial.width();
+        const std::int32_t length = axis == Axis::Rows ? initial.width() : initial.height();
+        const auto& dead_positions = axis == Axis::Rows ? dead.cols : dead.rows;
+        const auto live = [&](std::int32_t p) {
+          return !with_dead || std::find(dead_positions.begin(), dead_positions.end(), p) ==
+                                   dead_positions.end();
+        };
+        std::vector<LineAssignment> assignments;
+        for (std::int32_t line = 0; line < lines; ++line) {
+          LineAssignment a;
+          a.line = line;
+          for (std::int32_t p = 0; p < length; ++p)
+            if (initial.occupied(axis == Axis::Rows ? Coord{line, p} : Coord{p, line}))
+              a.sources.push_back(p);
+          if (a.sources.empty()) continue;
+          // Move every atom of the line to a fresh ascending live placement.
+          std::set<std::int32_t> placement;
+          while (placement.size() < a.sources.size()) {
+            const auto p = static_cast<std::int32_t>(
+                rng.uniform_below(static_cast<std::uint32_t>(length)));
+            if (live(p)) placement.insert(p);
+          }
+          a.targets.assign(placement.begin(), placement.end());
+          assignments.push_back(std::move(a));
+        }
+        for (const bool aod_legalize : {true, false}) {
+          OccupancyGrid grid = initial;
+          Schedule schedule;
+          (void)realize_assignments(grid, axis, assignments, schedule,
+                                    {.aod_legalize = aod_legalize,
+                                     .dead = with_dead ? &dead : nullptr});
+          OccupancyGrid replay = initial;
+          const ExecutionReport report =
+              run_schedule(replay, schedule, {.check_aod = aod_legalize});
+          ASSERT_TRUE(report.ok) << report.error;
+          EXPECT_EQ(grid, replay) << "trial " << trial << (axis == Axis::Rows ? " rows" : " cols")
+                                  << (aod_legalize ? " legalized" : " unlegalized")
+                                  << (with_dead ? " dead" : "");
+          EXPECT_EQ(replay.atom_count(), initial.atom_count()) << "atoms must be conserved";
+        }
       }
-      LineAssignment a;
-      a.line = r;
-      for (const auto p : atoms) a.sources.push_back(static_cast<std::int32_t>(p));
-      a.targets.assign(placement.begin(), placement.end());
-      lines.push_back(std::move(a));
     }
-    Schedule s;
-    (void)realize_assignments(g, Axis::Rows, lines, s);
-    testutil::expect_replays_to(initial, s, g);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "batch/batch_planner.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <exception>
 #include <future>
@@ -131,12 +132,8 @@ rt::LossModel BatchPlanner::effective_loss() const noexcept {
   return loss;
 }
 
-ShotResult BatchPlanner::run_shot(std::uint32_t shot, const OccupancyGrid* captured) const {
-  return run_shot_impl(shot, captured, nullptr);
-}
-
-ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, const OccupancyGrid* captured,
-                                       std::shared_ptr<ThreadPool> intra_pool) const {
+ShotResult BatchPlanner::run_shot(std::uint32_t shot, const OccupancyGrid* captured,
+                                  std::shared_ptr<ThreadPool> intra_pool) const {
   ShotResult result;
   result.shot = shot;
   result.seed = exec::shot_seed(config_.master_seed, shot);
@@ -176,10 +173,10 @@ ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, const OccupancyGrid* 
   // The planner runs behind the algorithm interface so baselines batch the
   // same way; "qrm" keeps the full QrmConfig (mode, merge, sen_limit).
   exec::ExecPolicy shot_exec = config_.exec;
-  if (shot_exec.intra_plan_workers > 0 && intra_pool != nullptr) {
-    // Batched path: quadrant tasks share the shot pool (see run_shot's
-    // arbitration note). The pool is not part of the plan's identity, so
-    // the cache key and every fingerprint are unchanged by this.
+  if (shot_exec.intra_plan_workers > 0 && shot_exec.pool == nullptr) {
+    // Quadrant tasks share the fan-out's pool (see run_shot's arbitration
+    // note). The pool is not part of the plan's identity, so the cache key
+    // and every fingerprint are unchanged by this.
     shot_exec.pool = std::move(intra_pool);
   }
   const PlanParallelism parallelism = shot_exec.plan_parallelism();
@@ -266,65 +263,80 @@ ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, const OccupancyGrid* 
   return result;
 }
 
-BatchReport BatchPlanner::run_impl(std::uint32_t shot_count,
-                                   const std::vector<OccupancyGrid>* captured) const {
-  QRM_EXPECTS(shot_count > 0);
-
-  BatchReport report;
-  report.shots.resize(shot_count);
-
-  Stopwatch wall;
-  {
-    ThreadPool pool(config_.exec.workers);
-    report.workers = pool.worker_count();
-
-    // Nested-parallelism arbitration: quadrant tasks draw from the same
-    // pool as the shots, unless the caller configured a pool of its own
-    // (the campaign runner shares its campaign-wide pool that way). The
-    // self-share is deliberately *non-owning* (aliasing shared_ptr): a shot
-    // task that held the last owning reference would destroy the pool from
-    // one of its own workers. The block scope already guarantees the pool
-    // outlives every shot.
-    const std::shared_ptr<ThreadPool> intra_pool =
-        config_.exec.pool != nullptr
-            ? config_.exec.pool
-            : std::shared_ptr<ThreadPool>(std::shared_ptr<void>(), &pool);
-
-    std::vector<std::future<void>> done;
-    done.reserve(shot_count);
-    for (std::uint32_t shot = 0; shot < shot_count; ++shot) {
-      done.push_back(pool.submit([this, shot, captured, &report, intra_pool] {
-        // Each shot owns exactly slot [shot]; no cross-shot state is shared.
-        report.shots[shot] = run_shot_impl(
-            shot, captured != nullptr ? &(*captured)[shot] : nullptr, intra_pool);
-      }));
-    }
-
-    // Wait for *every* shot before rethrowing, so no worker still writes
-    // into `report` after an early failure unwinds the stack.
-    std::exception_ptr first_error;
-    for (std::future<void>& future : done) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  }
-  report.wall_us = wall.elapsed_microseconds();
-  return report;
-}
-
 BatchReport BatchPlanner::run() const {
-  QRM_EXPECTS_MSG(config_.grid_height > 0 && config_.grid_width > 0,
-                  "generated batches need grid_height/grid_width");
-  return run_impl(config_.shots, nullptr);
+  ThreadPool pool(config_.exec.workers);
+  return std::move(run_batches({{this, nullptr}}, pool).front());
 }
 
 BatchReport BatchPlanner::run(const std::vector<OccupancyGrid>& captured) const {
-  QRM_EXPECTS_MSG(!captured.empty(), "captured batch needs at least one grid");
-  return run_impl(static_cast<std::uint32_t>(captured.size()), &captured);
+  ThreadPool pool(config_.exec.workers);
+  return std::move(run_batches({{this, &captured}}, pool).front());
+}
+
+std::vector<BatchReport> run_batches(const std::vector<BatchJob>& jobs, ThreadPool& pool) {
+  // Validate every job before the first submit: a throw between submits
+  // would unwind past shots still writing into `reports`.
+  for (const BatchJob& job : jobs) {
+    QRM_EXPECTS(job.planner != nullptr);
+    const BatchConfig& config = job.planner->config();
+    QRM_EXPECTS_MSG(job.captured != nullptr ? !job.captured->empty()
+                                            : config.grid_height > 0 && config.grid_width > 0,
+                    "a batch needs captured grids or a generated grid_height/grid_width");
+  }
+
+  // Quadrant tasks borrow the fan-out pool. The share is deliberately
+  // *non-owning* (aliasing shared_ptr): a task that held the last owning
+  // reference would destroy the pool from one of its own workers. The
+  // caller keeps the pool alive until every shot has finished.
+  const std::shared_ptr<ThreadPool> intra_pool(std::shared_ptr<void>(), &pool);
+
+  std::vector<BatchReport> reports(jobs.size());
+  // Each shot's [start, end] on one clock; a job's makespan is their span.
+  std::vector<std::vector<std::pair<double, double>>> spans(jobs.size());
+  std::vector<std::future<void>> done;
+  const Stopwatch clock;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const BatchJob& job = jobs[j];
+    const auto shots = job.captured != nullptr
+                           ? static_cast<std::uint32_t>(job.captured->size())
+                           : job.planner->config().shots;
+    reports[j].workers = pool.worker_count();
+    reports[j].shots.resize(shots);
+    spans[j].resize(shots);
+    for (std::uint32_t shot = 0; shot < shots; ++shot) {
+      // Each shot owns exactly its slots; no cross-shot state is shared.
+      done.push_back(pool.submit([&job, &result = reports[j].shots[shot],
+                                  &span = spans[j][shot], &intra_pool, &clock, shot] {
+        span.first = clock.elapsed_microseconds();
+        result = job.planner->run_shot(
+            shot, job.captured != nullptr ? &(*job.captured)[shot] : nullptr, intra_pool);
+        span.second = clock.elapsed_microseconds();
+      }));
+    }
+  }
+
+  // Wait for *every* shot before rethrowing, so no worker still writes
+  // into `reports` after an early failure unwinds the stack.
+  std::exception_ptr first_error;
+  for (std::future<void>& future : done) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    double start = spans[j].front().first;
+    double end = spans[j].front().second;
+    for (const auto& [shot_start, shot_end] : spans[j]) {
+      start = std::min(start, shot_start);
+      end = std::max(end, shot_end);
+    }
+    reports[j].wall_us = end - start;
+  }
+  return reports;
 }
 
 }  // namespace qrm::batch

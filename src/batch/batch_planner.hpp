@@ -6,7 +6,8 @@
 /// A batch is N independent shots of the same experiment. Each shot draws
 /// its own workload (or consumes a pre-captured occupancy grid), optionally
 /// runs imaged detection, then plans and lossily executes the multi-round
-/// rearrangement loop. Shots fan out across a ThreadPool.
+/// rearrangement loop. Shots fan out across a ThreadPool through one path,
+/// run_batches: BatchPlanner::run and the campaign runner both call it.
 ///
 /// Determinism guarantee: every per-shot RNG stream (loading, photon noise,
 /// loss) is derived from one master seed via qrm::derive_seed(master, shot),
@@ -64,9 +65,9 @@ struct BatchConfig {
   std::uint32_t max_rounds = 10;   ///< lossy-loop round budget per shot
 
   /// Execution policy (exec/policy.hpp). The batch honours every field:
-  /// workers sizes the shot pool (0 -> hardware_concurrency), pool shares a
-  /// caller-owned pool instead (the campaign runner's mode), the intra-plan
-  /// fields fan quadrant work out within each shot, replan selects each
+  /// workers sizes the shot pool run() builds (0 -> hardware_concurrency),
+  /// the intra-plan fields fan quadrant work out within each shot (on
+  /// `pool` when set, else on the shot fan-out's pool), replan selects each
   /// shot loop's strategy (Delta is honoured only by the "qrm" algorithm;
   /// baselines always plan as given), plan_cache attaches shared plan
   /// memoisation (null = off; hits are bit-equal to cold plans), and
@@ -110,7 +111,10 @@ struct LatencySummary {
 struct BatchReport {
   std::vector<ShotResult> shots;   ///< indexed by shot number
   std::uint32_t workers = 0;       ///< pool size actually used
-  double wall_us = 0.0;            ///< end-to-end batch wall time
+  /// Makespan: from this batch's first shot starting to its last shot
+  /// finishing. In a shared fan-out (a campaign) other batches' shots may
+  /// run inside that span.
+  double wall_us = 0.0;
 
   [[nodiscard]] double shots_per_second() const noexcept;
   [[nodiscard]] double success_rate() const noexcept;
@@ -142,7 +146,10 @@ class BatchPlanner {
   /// must use this model (with shot_index = i) to match the batch exactly.
   [[nodiscard]] rt::LossModel effective_loss() const noexcept;
 
-  /// Run config.shots generated shots.
+  /// Run config.shots generated shots on a pool of exec.workers. The
+  /// generated path draws load_random(grid_height, grid_width, {fill,
+  /// shot seed}); perfbench and hand-built sweeps use it. The campaign
+  /// runner pre-draws every profile and takes the captured path instead.
   [[nodiscard]] BatchReport run() const;
 
   /// Run one shot per pre-captured occupancy grid (real camera frames or
@@ -150,27 +157,36 @@ class BatchPlanner {
   /// are still derived per shot.
   [[nodiscard]] BatchReport run(const std::vector<OccupancyGrid>& captured) const;
 
-  /// The exact work one shot performs; exposed so tests can compare the
-  /// serial answer against the pooled one. `captured` may be null.
+  /// The exact work one shot performs; `captured` may be null (generated
+  /// path). Exposed so tests and perfbench can compare the serial answer
+  /// against the pooled one.
   ///
-  /// Worker arbitration: when exec.intra_plan_workers > 0, the batched
-  /// paths (run / run_impl) hand every shot the *same* pool its own task
-  /// runs on, so shot-level and quadrant-level parallelism share one worker
-  /// budget — ThreadPool::run_all lets a pooled shot join its own quadrant
-  /// tasks without deadlock at any pool size. This entry point has no batch
-  /// pool; QrmPlanner::plan spins up a transient pool per plan instead
-  /// (bit-identical results either way).
-  [[nodiscard]] ShotResult run_shot(std::uint32_t shot, const OccupancyGrid* captured) const;
+  /// Worker arbitration: when exec.intra_plan_workers > 0 and exec.pool is
+  /// null, quadrant tasks run on `intra_pool`. run_batches passes its
+  /// fan-out pool, so shot-level and quadrant-level parallelism share one
+  /// worker budget; ThreadPool::run_all lets a pooled shot join its own
+  /// quadrant tasks without deadlock at any pool size. With no pool at all,
+  /// QrmPlanner::plan spins up a transient pool per plan (bit-identical
+  /// results either way).
+  [[nodiscard]] ShotResult run_shot(std::uint32_t shot, const OccupancyGrid* captured,
+                                    std::shared_ptr<ThreadPool> intra_pool = nullptr) const;
 
  private:
-  [[nodiscard]] BatchReport run_impl(std::uint32_t shot_count,
-                                     const std::vector<OccupancyGrid>* captured) const;
-  /// run_shot with an explicit intra-plan pool (null = config's own, or a
-  /// transient per-plan pool when the knob is on and none is configured).
-  [[nodiscard]] ShotResult run_shot_impl(std::uint32_t shot, const OccupancyGrid* captured,
-                                         std::shared_ptr<ThreadPool> intra_pool) const;
-
   BatchConfig config_;
 };
+
+/// One batch of a run_batches fan-out. Both pointers must outlive the call.
+struct BatchJob {
+  const BatchPlanner* planner = nullptr;
+  /// One shot per grid; null runs planner->config().shots generated shots.
+  const std::vector<OccupancyGrid>* captured = nullptr;
+};
+
+/// The one shot fan-out: submits every shot of every job to `pool` (job by
+/// job, shot by shot), lends `pool` to the shots' quadrant tasks, waits for
+/// every shot and then rethrows the first error. Returns one report per
+/// job, with `workers` = pool size and `wall_us` = that job's makespan.
+[[nodiscard]] std::vector<BatchReport> run_batches(const std::vector<BatchJob>& jobs,
+                                                   ThreadPool& pool);
 
 }  // namespace qrm::batch

@@ -41,10 +41,10 @@ struct ExecPolicy {
   /// Intra-plan quadrant parallelism (PlanParallelism::workers). 0 =
   /// sequential planning, the default.
   std::uint32_t intra_plan_workers = 0;
-  /// Pool every level draws from. Layers that own a pool (BatchPlanner,
-  /// CampaignRunner) attach theirs here on the way down so shot-level and
-  /// quadrant-level work share one worker budget; when null, each planner
-  /// spins a transient pool per plan (QrmPlanner::plan).
+  /// Pool the intra-plan quadrant tasks draw from. When null, the batch
+  /// fan-out (batch::run_batches) lends its shot pool so shot-level and
+  /// quadrant-level work share one worker budget; a planner outside any
+  /// fan-out spins a transient pool per plan (QrmPlanner::plan).
   std::shared_ptr<ThreadPool> pool;
   /// Scratch replans every loop round from nothing; Delta reuses untouched
   /// quadrant kernels via core::DeltaReplanner (bit-identical plans).

@@ -141,7 +141,8 @@ class CampaignRunner {
 
   [[nodiscard]] const CampaignConfig& config() const noexcept { return config_; }
 
-  /// Run one scenario (validated first; the config filter is not applied).
+  /// Run one scenario: run_selected on a one-scenario list (validated
+  /// first; the config filter is not applied).
   [[nodiscard]] ScenarioOutcome run_one(const ScenarioSpec& spec) const;
 
   /// Run every scenario matching the config filter. Scenarios × shots fan
@@ -159,8 +160,9 @@ class CampaignRunner {
   [[nodiscard]] CampaignReport run_shard(const std::vector<ScenarioSpec>& specs) const;
 
  private:
-  /// The fan-out core: run `selected` (paired with global matrix indices)
-  /// as scenarios × shots tasks on one pool.
+  /// The one campaign path: pre-draw every scenario of `selected` (paired
+  /// with global matrix indices) and run them as one batch::run_batches
+  /// fan-out of scenarios × shots on one pool.
   [[nodiscard]] CampaignReport run_selected(const std::vector<const ScenarioSpec*>& selected,
                                             const std::vector<std::size_t>& indices) const;
 

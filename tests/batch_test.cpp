@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -14,12 +16,14 @@
 
 #include "util/assert.hpp"
 #include "batch/batch_planner.hpp"
+#include "exec/plan_cache.hpp"
 #include "util/thread_pool.hpp"
 #include "lattice/region.hpp"
 #include "loading/loader.hpp"
 #include "runtime/rearrangement_loop.hpp"
 #include "testutil.hpp"
 #include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 
 namespace qrm {
 namespace {
@@ -301,7 +305,9 @@ TEST(BatchPlanner, ImagedDetectionReportsFidelityPerShot) {
 }
 
 TEST(BatchPlanner, AggregatesMatchTheShotTable) {
+  const Stopwatch caller;
   const batch::BatchReport report = batch::BatchPlanner(small_batch(10, 4)).run();
+  const double caller_us = caller.elapsed_microseconds();
   double fill_sum = 0.0;
   std::size_t commands = 0;
   std::size_t successes = 0;
@@ -313,11 +319,36 @@ TEST(BatchPlanner, AggregatesMatchTheShotTable) {
   EXPECT_DOUBLE_EQ(report.mean_fill_rate(), fill_sum / 10.0);
   EXPECT_EQ(report.total_commands(), commands);
   EXPECT_DOUBLE_EQ(report.success_rate(), static_cast<double>(successes) / 10.0);
-  EXPECT_GT(report.wall_us, 0.0);
+  EXPECT_GT(report.wall_us, 0.0);  // the makespan, inside the caller's clock
+  EXPECT_LE(report.wall_us, caller_us);
   EXPECT_GT(report.shots_per_second(), 0.0);
   const batch::LatencySummary plan = report.latency(batch::BatchReport::Stage::Plan);
   EXPECT_GT(plan.mean, 0.0);
   EXPECT_LE(plan.p50, plan.max);
+}
+
+TEST(BatchPlanner, AThrowingShotFailsTheBatchOnlyAfterEveryOtherShotFinished) {
+  // The fan-out waits for every shot before it rethrows the first error.
+  // One odd-width grid (the planner rejects it) among valid ones must throw
+  // PreconditionError, and every valid shot must still plan to completion:
+  // its first-round plan lands in the shared cache.
+  std::vector<OccupancyGrid> captured;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    captured.push_back(load_random(24, 24, {0.6, seed}));
+  }
+  constexpr std::size_t kBad = 2;
+  captured[kBad] = load_random(24, 23, {0.6, 3});
+  for (const std::uint32_t workers : {1u, 3u}) {
+    batch::BatchConfig config = small_batch(1, workers);
+    config.exec.plan_cache = std::make_shared<exec::PlanCache>();
+    EXPECT_THROW((void)batch::BatchPlanner(config).run(captured), PreconditionError);
+    const std::uint64_t key = exec::PlanCache::config_key(config.algorithm, config.plan);
+    for (std::size_t i = 0; i < captured.size(); ++i) {
+      if (i == kBad) continue;
+      EXPECT_NE(config.exec.plan_cache->find(key, captured[i]), nullptr)
+          << "shot " << i << " with " << workers << " workers";
+    }
+  }
 }
 
 TEST(BatchPlanner, RejectsBadConfigs) {

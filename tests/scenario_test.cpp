@@ -15,6 +15,7 @@
 #include "scenario/spec.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 
 namespace qrm {
 namespace {
@@ -445,8 +446,9 @@ TEST(ScenarioWorkload, AtLeastHonoursTheResolvedDemand) {
 // ---------------------------------------------------------------------------
 
 TEST(CampaignRunner, MatchesAHandBuiltBatchPlannerBitForBit) {
-  // The scenario path must reproduce a hand-coded BatchPlanner sweep cell
-  // (the old batch_campaign binary) exactly: same seeds, same fingerprint.
+  // The scenario path pre-draws its Uniform workloads; it must reproduce a
+  // hand-built BatchPlanner sweep cell on the generated path exactly: same
+  // seeds, same fingerprint.
   const ScenarioSpec spec = tiny_spec();
 
   batch::BatchConfig by_hand;
@@ -465,6 +467,48 @@ TEST(CampaignRunner, MatchesAHandBuiltBatchPlannerBitForBit) {
   config.exec.workers = 2;
   const scenario::ScenarioOutcome outcome = scenario::CampaignRunner(config).run_one(spec);
   EXPECT_EQ(outcome.batch.fingerprint(), expected);
+}
+
+TEST(CampaignRunner, RunOneIsTheCampaignPathOnOneScenario) {
+  ScenarioSpec spec = tiny_spec();
+  spec.load = LoadProfile::Clustered;
+  scenario::CampaignConfig config;
+  config.exec.workers = 3;
+  const scenario::CampaignRunner runner(config);
+
+  const scenario::ScenarioOutcome one = runner.run_one(spec);
+  const Stopwatch caller;
+  const scenario::CampaignReport campaign = runner.run({spec});
+  const double caller_us = caller.elapsed_microseconds();
+
+  ASSERT_EQ(campaign.scenarios.size(), 1u);
+  const scenario::ScenarioOutcome& listed = campaign.scenarios[0];
+  EXPECT_EQ(one.index, listed.index);
+  EXPECT_EQ(one.fingerprint, listed.fingerprint);
+  EXPECT_EQ(one.batch.fingerprint(), listed.batch.fingerprint());
+  ASSERT_EQ(one.batch.shots.size(), listed.batch.shots.size());
+  for (std::size_t i = 0; i < one.batch.shots.size(); ++i) {
+    const batch::ShotResult& lhs = one.batch.shots[i];
+    const batch::ShotResult& rhs = listed.batch.shots[i];
+    EXPECT_EQ(lhs.shot, rhs.shot);
+    EXPECT_EQ(lhs.seed, rhs.seed);
+    EXPECT_EQ(lhs.planned_input, rhs.planned_input) << "shot " << i;
+    EXPECT_EQ(lhs.final_grid, rhs.final_grid) << "shot " << i;
+    EXPECT_EQ(lhs.success, rhs.success);
+    EXPECT_EQ(lhs.rounds, rhs.rounds);
+    EXPECT_EQ(lhs.commands, rhs.commands);
+    EXPECT_EQ(lhs.atoms_lost, rhs.atoms_lost);
+    EXPECT_EQ(lhs.defects_remaining, rhs.defects_remaining);
+    EXPECT_DOUBLE_EQ(lhs.fill_rate, rhs.fill_rate);
+  }
+  EXPECT_EQ(one.batch.workers, 3u);
+  EXPECT_EQ(listed.batch.workers, 3u);
+
+  // wall_us is the scenario's makespan: positive and inside the caller's
+  // own clock, as is the campaign's wall time.
+  EXPECT_GT(listed.batch.wall_us, 0.0);
+  EXPECT_LE(listed.batch.wall_us, campaign.wall_us);
+  EXPECT_LE(campaign.wall_us, caller_us);
 }
 
 TEST(CampaignRunner, FingerprintsAreWorkerCountIndependent) {

@@ -97,20 +97,6 @@ void OccupancyGrid::set_row(std::int32_t r, BitRow bits) {
   rows_[static_cast<std::size_t>(r)] = std::move(bits);
 }
 
-void OccupancyGrid::or_row(std::int32_t r, const BitRow& bits) {
-  QRM_EXPECTS(r >= 0 && r < height_);
-  rows_[static_cast<std::size_t>(r)] |= bits;  // |= checks the width
-}
-
-void OccupancyGrid::and_not_row(std::int32_t r, const BitRow& bits) {
-  QRM_EXPECTS(r >= 0 && r < height_);
-  QRM_EXPECTS_MSG(bits.width() == static_cast<std::uint32_t>(width_), "row width mismatch");
-  BitRow& row = rows_[static_cast<std::size_t>(r)];
-  // Each word reads both operands before writing, so `bits` may alias `row`.
-  for (std::uint32_t wi = 0; wi < row.words().size(); ++wi)
-    row.set_word(wi, row.words()[wi] & ~bits.words()[wi]);
-}
-
 BitRow OccupancyGrid::column(std::int32_t c) const {
   QRM_EXPECTS(c >= 0 && c < width_);
   BitRow out(static_cast<std::uint32_t>(height_));

@@ -75,11 +75,6 @@ class OccupancyGrid {
   }
   /// Replace one row's bits; the new row must have width() == width().
   void set_row(std::int32_t r, BitRow bits);
-  /// Word-level row writers: set (OR) or clear (AND-NOT) the bits of `bits`
-  /// in row r. Precondition: bits.width() == width(). `bits` may be row r
-  /// itself (and_not_row(r, row(r)) empties the row).
-  void or_row(std::int32_t r, const BitRow& bits);
-  void and_not_row(std::int32_t r, const BitRow& bits);
   /// Extract one column as a BitRow of length height() (bit i = row i).
   [[nodiscard]] BitRow column(std::int32_t c) const;
   /// Write one column from a BitRow of length height().

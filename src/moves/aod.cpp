@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <map>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -45,34 +47,71 @@ std::optional<std::string> aod_violation(const OccupancyGrid& grid, const Parall
 
 namespace {
 
-[[nodiscard]] bool disjoint(const BitRow& a, const BitRow& b) {
-  const auto& aw = a.words();
-  const auto& bw = b.words();
-  for (std::size_t w = 0; w < aw.size(); ++w)
-    if ((aw[w] & bw[w]) != 0) return false;
-  return true;
+using Word = BitRow::Word;
+constexpr std::size_t kBits = BitRow::kWordBits;
+
+[[nodiscard]] bool test_bit(const std::vector<Word>& words, std::size_t i) {
+  return ((words[i / kBits] >> (i % kBits)) & 1U) != 0;
+}
+void set_bit(std::vector<Word>& words, std::size_t i) {
+  words[i / kBits] |= Word{1} << (i % kBits);
+}
+void clear_bit(std::vector<Word>& words, std::size_t i) {
+  words[i / kBits] &= ~(Word{1} << (i % kBits));
+}
+[[nodiscard]] bool none(const Word* words, std::size_t n) {
+  return std::all_of(words, words + n, [](Word w) { return w == 0; });
+}
+
+/// Calls `fn(m)` for every set bit m of `lines`, front-first for motion
+/// toward `dmaj` (descending when dmaj > 0).
+template <class Fn>
+void for_each_line(const std::vector<Word>& lines, std::int32_t dmaj, Fn&& fn) {
+  if (dmaj > 0) {
+    for (std::size_t w = lines.size(); w-- > 0;)
+      for (Word bits = lines[w]; bits != 0;) {
+        const auto b = kBits - 1 - static_cast<std::size_t>(std::countl_zero(bits));
+        bits ^= Word{1} << b;
+        fn(static_cast<std::int32_t>(w * kBits + b));
+      }
+  } else {
+    for (std::size_t w = 0; w < lines.size(); ++w)
+      for (Word bits = lines[w]; bits != 0; bits &= bits - 1)
+        fn(static_cast<std::int32_t>(w * kBits + static_cast<std::size_t>(std::countr_zero(bits))));
+  }
 }
 
 }  // namespace
 
 AodLegalizer::AodLegalizer(const OccupancyGrid& grid, bool horizontal)
     : horiz_(horizontal),
-      gmaj_(horizontal ? grid.flipped(Flip::Transpose) : grid),
-      rmaj_(gmaj_.height(), gmaj_.width()),
-      mmaj_(gmaj_.height(), gmaj_.width()),
-      present_(static_cast<std::uint32_t>(gmaj_.height())),
-      acc_min_(static_cast<std::uint32_t>(gmaj_.width())),
-      bystander_minors_(acc_min_),
-      minmask_(acc_min_),
-      accepted_(acc_min_),
-      surv_(acc_min_.words().size()) {}
-
-OccupancyGrid AodLegalizer::take_grid() && {
-  if (horiz_) return gmaj_.flipped(Flip::Transpose);
-  return std::move(gmaj_);
+      majors_(horizontal ? grid.width() : grid.height()),
+      minors_(horizontal ? grid.height() : grid.width()),
+      wpl_((static_cast<std::size_t>(minors_) + kBits - 1) / kBits),
+      grid_(static_cast<std::size_t>(majors_) * wpl_),
+      movers_(grid_.size()),
+      batch_(grid_.size()),
+      live_((static_cast<std::size_t>(majors_) + kBits - 1) / kBits),
+      next_live_(live_.size()),
+      acc_min_(wpl_),
+      bystander_minors_(wpl_) {
+  const OccupancyGrid major_rows = horizontal ? grid.flipped(Flip::Transpose) : grid;
+  for (std::int32_t m = 0; m < majors_; ++m)
+    std::copy_n(major_rows.row(m).words().begin(), wpl_, line(grid_, m));
 }
 
-void AodLegalizer::bucket(std::span<const Coord> sites, std::int32_t dmaj) {
+OccupancyGrid AodLegalizer::take_grid() && {
+  OccupancyGrid out(majors_, minors_);
+  BitRow row(static_cast<std::uint32_t>(minors_));
+  for (std::int32_t m = 0; m < majors_; ++m) {
+    for (std::size_t w = 0; w < wpl_; ++w)
+      row.set_word(static_cast<std::uint32_t>(w), line(grid_, m)[w]);
+    out.set_row(m, row);
+  }
+  return horiz_ ? out.flipped(Flip::Transpose) : out;
+}
+
+void AodLegalizer::bucket(std::span<const Coord> sites) {
   // Bucket the intended sites by major line (the coordinate the move
   // changes). Enumerating the buckets front-first with minors ascending
   // gives the front_first order — atoms nearest the destination side come
@@ -83,64 +122,86 @@ void AodLegalizer::bucket(std::span<const Coord> sites, std::int32_t dmaj) {
   // the same atom up twice.
   std::optional<Coord> duplicate;
   for (const Coord& s : sites) {
-    const Coord b{horiz_ ? s.col : s.row, horiz_ ? s.row : s.col};
-    QRM_EXPECTS_MSG(gmaj_.in_bounds(b) && gmaj_.occupied(b), "legalize: site must hold an atom");
-    if (rmaj_.occupied(b) && !duplicate.has_value()) duplicate = s;
-    rmaj_.set(b);
-    present_.set(static_cast<std::uint32_t>(b.row));
+    const std::int32_t major = horiz_ ? s.col : s.row;
+    const std::int32_t minor = horiz_ ? s.row : s.col;
+    const bool on_grid = major >= 0 && major < majors_ && minor >= 0 && minor < minors_;
+    QRM_EXPECTS_MSG(on_grid && test_bit(grid_, bit_at(major, minor)),
+                    "legalize: site must hold an atom");
+    if (test_bit(movers_, bit_at(major, minor)) && !duplicate.has_value()) duplicate = s;
+    set_bit(movers_, bit_at(major, minor));
+    set_bit(live_, static_cast<std::size_t>(major));
   }
   QRM_EXPECTS_MSG(!duplicate.has_value(),
                   "legalize: duplicate site " + qrm::to_string(*duplicate) +
                       " in the intended move set");
-
-  live_.clear();
-  const auto& pw = present_.words();
-  for (std::size_t w = 0; w < pw.size(); ++w) {
-    for (BitRow::Word bits = pw[w]; bits != 0; bits &= bits - 1) {
-      const auto low = static_cast<std::size_t>(std::countr_zero(bits));
-      live_.push_back(static_cast<std::int32_t>(w * BitRow::kWordBits + low));
-    }
-  }
-  if (dmaj > 0) std::reverse(live_.begin(), live_.end());  // front-first
-  present_.reset();
 }
 
 bool AodLegalizer::legal_as_one(std::int32_t dmaj, std::int32_t steps) {
   // An AOD cross trap capturing a bystander, or a member's swept cell
   // holding a non-member atom, each veto the single-command form. The
-  // source checks validate_move would add are guaranteed by the
-  // preconditions of bucket().
-  minmask_.reset();
-  for (const std::int32_t m : live_) minmask_ |= rmaj_.row(m);
-  const auto& mm = minmask_.words();
-  for (const std::int32_t m : live_) {
+  // source checks validate_move would add are guaranteed by bucket().
+  // acc_min_ (all-zero outside a batch) briefly holds every mover's minor.
+  for_each_line(live_, dmaj, [&](std::int32_t m) {
+    for (std::size_t w = 0; w < wpl_; ++w) acc_min_[w] |= line(movers_, m)[w];
+  });
+  bool legal = true;
+  for_each_line(live_, dmaj, [&](std::int32_t m) {
+    if (!legal) return;
     const std::int32_t far = m + dmaj * steps;
-    if (far < 0 || far >= gmaj_.height()) return false;
-    const auto& sw = rmaj_.row(m).words();
-    const auto& go = gmaj_.row(m).words();
-    for (std::size_t w = 0; w < sw.size(); ++w)
-      if ((go[w] & mm[w] & ~sw[w]) != 0) return false;
-    for (std::int32_t k = 1; k <= steps; ++k) {
-      const auto& po = gmaj_.row(m + dmaj * k).words();
-      const auto& ps = rmaj_.row(m + dmaj * k).words();
-      for (std::size_t w = 0; w < sw.size(); ++w)
-        if ((sw[w] & po[w] & ~ps[w]) != 0) return false;
+    if (far < 0 || far >= majors_) {
+      legal = false;
+      return;
     }
-  }
-  return true;
+    const Word* c = line(movers_, m);
+    const Word* g = line(grid_, m);
+    Word clash = 0;
+    for (std::size_t w = 0; w < wpl_; ++w) clash |= g[w] & acc_min_[w] & ~c[w];
+    for (std::int32_t k = 1; k <= steps; ++k) {
+      const Word* pg = line(grid_, m + dmaj * k);
+      const Word* pc = line(movers_, m + dmaj * k);
+      for (std::size_t w = 0; w < wpl_; ++w) clash |= c[w] & pg[w] & ~pc[w];
+    }
+    legal = clash == 0;
+  });
+  std::fill(acc_min_.begin(), acc_min_.end(), 0);
+  return legal;
 }
 
-void AodLegalizer::apply(const OccupancyGrid& masks, std::span<const std::int32_t> lines,
-                         std::int32_t shift) {
-  for (const std::int32_t m : lines) gmaj_.and_not_row(m, masks.row(m));
-  for (const std::int32_t m : lines) {
-    QRM_ENSURES_MSG(disjoint(gmaj_.row(m + shift), masks.row(m)),
-                    "legalize produced a colliding batch");
-    gmaj_.or_row(m + shift, masks.row(m));
+void AodLegalizer::apply(Direction dir, std::int32_t steps, std::int32_t shift, bool carry) {
+  for (const std::int32_t m : batch_lines_) {
+    Word* g = line(grid_, m);
+    const Word* b = line(batch_, m);
+    for (std::size_t w = 0; w < wpl_; ++w) g[w] &= ~b[w];
   }
+  for (const std::int32_t m : batch_lines_) {
+    Word* to = line(grid_, m + shift);
+    Word* b = line(batch_, m);
+    Word* c = line(movers_, m);
+    Word* n = carry ? line(next_, m + shift) : nullptr;
+    Word clash = 0;
+    for (std::size_t w = 0; w < wpl_; ++w) {
+      clash |= to[w] & b[w];
+      to[w] |= b[w];
+      c[w] &= ~b[w];
+      if (n != nullptr) n[w] |= b[w];
+      b[w] = 0;
+    }
+    QRM_ENSURES_MSG(clash == 0, "legalize produced a colliding batch");
+    if (none(c, wpl_)) clear_bit(live_, static_cast<std::size_t>(m));
+    if (carry) set_bit(next_live_, static_cast<std::size_t>(m + shift));
+  }
+  std::fill(acc_min_.begin(), acc_min_.end(), 0);
+  std::fill(bystander_minors_.begin(), bystander_minors_.end(), 0);
+  // Each emitted move gets an exact-size copy, so plans kept by callers
+  // (plan cache, delta replanner) carry no slack.
+  moves_.push_back(
+      ParallelMove{dir, steps, std::vector<Coord>(batch_sites_.begin(), batch_sites_.end())});
+  batch_sites_.clear();
+  batch_lines_.clear();
 }
 
-/// The greedy partition, run line-major over the live major lines.
+/// One round: the whole mover set as one command when that is legal, else
+/// the greedy partition, run line-major over the live major lines.
 /// Candidates are visited major axis toward the front, minor axis
 /// ascending, and each is accepted into the current batch when its swept
 /// path is free (or vacated by an accepted member) and the AOD lines it adds
@@ -154,90 +215,86 @@ void AodLegalizer::apply(const OccupancyGrid& masks, std::span<const std::int32_
 ///   * path rejects: one AND-NOT of the group's `steps` forward lines,
 ///   * minor-axis cross checks: one running OR of the bystander minors of
 ///     the accepted major lines.
-/// A line's accepted sites are therefore one mask, mmaj_.row(m), and the
-/// batch is applied line by line with word operations.
-std::vector<ParallelMove> AodLegalizer::greedy_partition(std::size_t left, Direction dir,
-                                                         std::int32_t dmaj, std::int32_t steps) {
-  std::vector<ParallelMove> out;
+/// A line's accepted sites are therefore one mask, its line of batch_, and
+/// the batch is applied line by line with word operations.
+void AodLegalizer::round(Direction dir, std::int32_t dmaj, std::int32_t steps, std::size_t left,
+                         bool carry) {
+  const std::int32_t shift = dmaj * steps;
+  const auto take = [&](std::int32_t m, const Word* keep) {
+    for (std::size_t w = 0; w < wpl_; ++w)
+      for (Word bits = keep[w]; bits != 0; bits &= bits - 1) {
+        const auto minor =
+            static_cast<std::int32_t>(w * kBits + static_cast<std::size_t>(std::countr_zero(bits)));
+        batch_sites_.push_back(horiz_ ? Coord{minor, m} : Coord{m, minor});
+      }
+    batch_lines_.push_back(m);
+  };
+  // Fast path: when the whole intended set is already legal as one lockstep
+  // command (frequent for sparse rounds), skip the greedy partition.
+  if (legal_as_one(dmaj, steps)) {
+    for_each_line(live_, dmaj, [&](std::int32_t m) {
+      std::copy_n(line(movers_, m), wpl_, line(batch_, m));
+      take(m, line(batch_, m));
+    });
+    apply(dir, steps, shift, carry);
+    return;
+  }
   while (left > 0) {
-    batch_.clear();
-    batch_lines_.clear();
-    for (const std::int32_t m : live_) {
-      const std::int32_t far = m + dmaj * steps;
-      if (far < 0 || far >= gmaj_.height()) continue;  // whole group walks out of bounds
+    for_each_line(live_, dmaj, [&](std::int32_t m) {
+      const std::int32_t far = m + shift;
+      if (far < 0 || far >= majors_) return;  // whole group walks out of bounds
       // Group-axis cross state: minors already accepted elsewhere that hold
       // an atom on this major line. (The group's own members are excluded by
-      // construction: mmaj_.row(m) is empty until this group accepts.)
-      const auto& gw = gmaj_.row(m).words();
-      const auto& aw = acc_min_.words();
-      std::int32_t vcount = 0;
-      std::int32_t bystander = -1;
-      for (std::size_t w = 0; w < gw.size() && vcount < 2; ++w) {
-        BitRow::Word v = gw[w] & aw[w];
-        while (v != 0 && vcount < 2) {
-          bystander = static_cast<std::int32_t>(w * BitRow::kWordBits +
-                                                static_cast<std::size_t>(std::countr_zero(v)));
-          v &= v - 1;
-          ++vcount;
-        }
+      // construction: its line of batch_ is empty until this group accepts.)
+      // `two` collects a second bystander in the same bit of another word,
+      // and one & (one - 1) a second one anywhere else.
+      const Word* g = line(grid_, m);
+      Word one = 0;
+      Word two = 0;
+      std::size_t one_word = 0;
+      for (std::size_t w = 0; w < wpl_; ++w) {
+        const Word v = g[w] & acc_min_[w];
+        two |= one & v;
+        one |= v;
+        one_word = v != 0 ? w : one_word;
       }
-      if (vcount >= 2) continue;  // no candidate can clear two bystanders
+      if ((two | (one & (one - 1))) != 0) return;  // no candidate clears two bystanders
       // Path check for every candidate of the group at once: each swept
       // cell must be free or vacated by an already-accepted member. The
       // minor-axis cross check rides along: bystanders on a candidate's
       // minor line in the group's own major are the candidate itself.
-      const auto& cw = rmaj_.row(m).words();
-      const auto& bw = bystander_minors_.words();
-      for (std::size_t w = 0; w < surv_.size(); ++w) surv_[w] = cw[w] & ~bw[w];
+      Word* keep = line(batch_, m);
+      const Word* c = line(movers_, m);
+      for (std::size_t w = 0; w < wpl_; ++w) keep[w] = c[w] & ~bystander_minors_[w];
       for (std::int32_t k = 1; k <= steps; ++k) {
-        const auto& pw = gmaj_.row(m + dmaj * k).words();
-        const auto& pm = mmaj_.row(m + dmaj * k).words();
-        for (std::size_t w = 0; w < surv_.size(); ++w) surv_[w] &= ~(pw[w] & ~pm[w]);
+        const Word* pg = line(grid_, m + dmaj * k);
+        const Word* pb = line(batch_, m + dmaj * k);
+        for (std::size_t w = 0; w < wpl_; ++w) keep[w] &= ~pg[w] | pb[w];
       }
-      if (vcount == 1) {
-        // Only the bystander site itself may be accepted; once it joins,
-        // the minors after it are unblocked and the ones before stay out.
-        const auto bi = static_cast<std::size_t>(bystander) / BitRow::kWordBits;
-        const auto bit = static_cast<std::uint32_t>(bystander) % BitRow::kWordBits;
-        if (((surv_[bi] >> bit) & 1U) == 0) continue;
-        std::fill(surv_.begin(), surv_.begin() + static_cast<std::ptrdiff_t>(bi), 0);
-        surv_[bi] &= ~BitRow::Word{0} << bit;
+      if (one != 0) {
+        // Only the bystander site itself (bit `one`, a single bit) may be
+        // accepted; once it joins, the minors after it are unblocked and the
+        // ones before stay out.
+        if ((keep[one_word] & one) == 0) {
+          std::fill_n(keep, wpl_, 0);
+          return;
+        }
+        std::fill_n(keep, one_word, 0);
+        keep[one_word] &= ~(one - 1);
       }
-      if (std::all_of(surv_.begin(), surv_.end(), [](BitRow::Word w) { return w == 0; })) continue;
-      for (std::size_t w = 0; w < surv_.size(); ++w)
-        for (BitRow::Word bits = surv_[w]; bits != 0; bits &= bits - 1)
-          batch_.push_back(site_at(
-              m, static_cast<std::int32_t>(w * BitRow::kWordBits +
-                                           static_cast<std::size_t>(std::countr_zero(bits)))));
-      accepted_.assign_words(surv_);
-      mmaj_.or_row(m, accepted_);
-      acc_min_ |= accepted_;
-      // This line's bystander set is now final for the pass; fold it in.
-      for (std::size_t w = 0; w < surv_.size(); ++w)
-        bystander_minors_.set_word(static_cast<std::uint32_t>(w),
-                                   bystander_minors_.words()[w] | (gw[w] & ~surv_[w]));
-      batch_lines_.push_back(m);
-    }
-
-    QRM_ENSURES_MSG(!batch_.empty(),
+      if (none(keep, wpl_)) return;
+      take(m, keep);
+      for (std::size_t w = 0; w < wpl_; ++w) {
+        acc_min_[w] |= keep[w];
+        // This line's bystander set is now final for the pass; fold it in.
+        bystander_minors_[w] |= g[w] & ~keep[w];
+      }
+    });
+    QRM_ENSURES_MSG(!batch_sites_.empty(),
                     "legalize made no progress; the intended move set is not realisable");
-
-    apply(mmaj_, batch_lines_, dmaj * steps);
-    bool emptied = false;
-    for (const std::int32_t m : batch_lines_) {
-      rmaj_.and_not_row(m, mmaj_.row(m));
-      mmaj_.and_not_row(m, mmaj_.row(m));
-      emptied = emptied || rmaj_.row(m).none();
-    }
-    if (emptied) std::erase_if(live_, [this](std::int32_t m) { return rmaj_.row(m).none(); });
-    acc_min_.reset();
-    bystander_minors_.reset();
-    left -= batch_.size();
-    // Each emitted move gets an exact-size copy, so plans kept by callers
-    // (plan cache, delta replanner) carry no slack.
-    out.push_back(ParallelMove{dir, steps, std::vector<Coord>(batch_.begin(), batch_.end())});
+    left -= batch_sites_.size();
+    apply(dir, steps, shift, carry);
   }
-  return out;
 }
 
 std::vector<ParallelMove> AodLegalizer::legalize(std::span<const Coord> sites, Direction dir,
@@ -246,25 +303,59 @@ std::vector<ParallelMove> AodLegalizer::legalize(std::span<const Coord> sites, D
   QRM_EXPECTS_MSG(is_horizontal(dir) == horiz_, "legalize: direction off the legalizer's axis");
   if (sites.empty()) return {};
   const Coord delta = direction_delta(dir);
-  const std::int32_t dmaj = horiz_ ? delta.col : delta.row;  // -1 or +1
-  bucket(sites, dmaj);
-  // Fast path: when the whole intended set is already legal as one lockstep
-  // command (frequent for sparse rounds), skip the greedy partition.
-  if (!legal_as_one(dmaj, steps)) return greedy_partition(sites.size(), dir, dmaj, steps);
+  bucket(sites);
+  round(dir, horiz_ ? delta.col : delta.row, steps, sites.size(), false);
+  return std::exchange(moves_, {});
+}
 
-  std::vector<Coord> whole;
-  whole.reserve(sites.size());
-  for (const std::int32_t m : live_) {
-    const auto& ws = rmaj_.row(m).words();
-    for (std::size_t w = 0; w < ws.size(); ++w)
-      for (BitRow::Word bits = ws[w]; bits != 0; bits &= bits - 1)
-        whole.push_back(site_at(m, static_cast<std::int32_t>(
-                                       w * BitRow::kWordBits +
-                                       static_cast<std::size_t>(std::countr_zero(bits)))));
+void AodLegalizer::run_unit_phase(std::span<const Coord> sites,
+                                  std::span<const std::int32_t> displacements, Direction dir,
+                                  Schedule& out) {
+  QRM_EXPECTS(sites.size() == displacements.size());
+  QRM_EXPECTS_MSG(is_horizontal(dir) == horiz_, "legalize: direction off the legalizer's axis");
+  if (sites.empty()) return;
+  const Coord delta = direction_delta(dir);
+  const std::int32_t dmaj = horiz_ ? delta.col : delta.row;  // -1 or +1
+  bucket(sites);
+  next_.resize(grid_.size());
+  // Counting-sort the targets' bits by displacement: the sites arriving
+  // after round r are arrivals[first[r], first[r + 1]).
+  const auto target = [&](std::size_t i) {
+    return std::int64_t{horiz_ ? sites[i].col : sites[i].row} +
+           std::int64_t{dmaj} * displacements[i];
+  };
+  std::int32_t rounds = 0;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    QRM_EXPECTS_MSG(displacements[i] >= 1 && target(i) >= 0 && target(i) < majors_,
+                    "legalize: a phase target must lie at least one cell on, on the grid");
+    rounds = std::max(rounds, displacements[i]);
   }
-  apply(rmaj_, live_, dmaj * steps);
-  for (const std::int32_t m : live_) rmaj_.and_not_row(m, rmaj_.row(m));
-  return {ParallelMove{dir, steps, std::move(whole)}};
+  std::vector<std::size_t> first(static_cast<std::size_t>(rounds) + 2, 0);
+  for (const std::int32_t d : displacements) ++first[static_cast<std::size_t>(d)];
+  for (std::size_t r = 1; r < first.size(); ++r) first[r] += first[r - 1];
+  std::vector<std::size_t> arrivals(sites.size());
+  for (std::size_t i = sites.size(); i-- > 0;)
+    arrivals[--first[static_cast<std::size_t>(displacements[i])]] =
+        bit_at(static_cast<std::int32_t>(target(i)), horiz_ ? sites[i].row : sites[i].col);
+
+  std::size_t left = sites.size();
+  for (std::size_t r = 1; r <= static_cast<std::size_t>(rounds); ++r) {
+    round(dir, dmaj, 1, left, true);
+    for (ParallelMove& move : moves_) out.push_back(std::move(move));
+    moves_.clear();
+    movers_.swap(next_);
+    live_.swap(next_live_);
+    // Retire the sites that reached their targets this round; each must be
+    // a carried mover, or the partition lost or misplaced an atom.
+    for (std::size_t i = first[r]; i < first[r + 1]; ++i) {
+      QRM_ENSURES_MSG(test_bit(movers_, arrivals[i]), "legalize: a mover missed its target");
+      clear_bit(movers_, arrivals[i]);
+      const std::size_t m = arrivals[i] / (wpl_ * kBits);
+      if (none(movers_.data() + m * wpl_, wpl_)) clear_bit(live_, m);
+    }
+    left -= first[r + 1] - first[r];
+  }
+  QRM_ENSURES_MSG(none(movers_.data(), movers_.size()), "legalize: a phase ended with movers left");
 }
 
 std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Coord> sites,

@@ -40,21 +40,29 @@ namespace qrm {
 /// AOD-legal, collision-free parallel moves of that same step count, in
 /// execution order, and advances the owned grid to the state after them.
 ///
+/// `run_unit_phase(sites, displacements, dir, out)` takes a whole phase of
+/// unit steps at once: site i moves displacements[i] cells, one per round,
+/// and round r moves every site not yet at its target. The sites are
+/// bucketed and checked once; each round's accepted members are carried one
+/// line on as the next round's movers, and the sites arriving after round r
+/// are retired from them. Its moves are exactly those of one `legalize`
+/// call per round on the current grid.
+///
 /// One greedy partition serves every step count: sites are visited front
 /// first (nearest the destination side), minor axis ascending, and each
 /// joins the current move when its whole swept path is free or vacated by
 /// an accepted member and the AOD lines it adds capture no bystander. When
 /// the whole set is already legal it comes back as a single move.
 ///
-/// The legalizer keeps the grid in major-line orientation (the lines the
-/// move crosses: transposed for W/E motion, plain for N/S), together with
-/// the per-call bucket and batch-membership grids, which stay all-zero
-/// between calls. A caller stepping many rounds along one axis (the
-/// realizer, for one `realize_assignments` call) builds one legalizer and
-/// pays for no per-round transpose or allocation; batches are applied with
-/// word operations, and `take_grid()` writes the row-major grid back once.
-/// The accept decisions are the same, byte for byte, as one free `legalize`
-/// call per round on the current grid.
+/// Storage is flat: the grid (in major-line orientation: the lines the move
+/// crosses, so transposed for W/E motion), the movers, the batch members and
+/// the next round's movers are one word array each, `wpl_` words per major
+/// line, and the major lines holding movers are one bit mask. The mover,
+/// member and next-round masks stay all-zero between calls. A caller
+/// stepping many rounds along one axis (the realizer, for one
+/// `realize_assignments` call) builds one legalizer and pays for no
+/// per-round transpose or allocation; `take_grid()` writes the row-major
+/// grid back once.
 ///
 /// A precondition failure leaves the owned state unspecified: discard the
 /// object after any exception.
@@ -67,39 +75,54 @@ class AodLegalizer {
   [[nodiscard]] std::vector<ParallelMove> legalize(std::span<const Coord> sites, Direction dir,
                                                    std::int32_t steps);
 
+  /// Legalize a phase of unit steps (see the class comment), appending every
+  /// round's moves to `out`; `displacements[i]` >= 1 is site i's step count
+  /// and its target must lie on the grid. Throws InvariantError when a site
+  /// misses its target.
+  void run_unit_phase(std::span<const Coord> sites, std::span<const std::int32_t> displacements,
+                      Direction dir, Schedule& out);
+
   /// The row-major grid after every round legalized so far.
   [[nodiscard]] OccupancyGrid take_grid() &&;
 
  private:
-  /// Bucket `sites` into rmaj_ and list the major lines they occupy in
-  /// live_, front-first for motion toward `dmaj`.
-  void bucket(std::span<const Coord> sites, std::int32_t dmaj);
-  /// True when the whole bucketed set is one legal lockstep command.
-  [[nodiscard]] bool legal_as_one(std::int32_t dmaj, std::int32_t steps);
-  std::vector<ParallelMove> greedy_partition(std::size_t left, Direction dir, std::int32_t dmaj,
-                                             std::int32_t steps);
-  /// Lockstep word-parallel apply of one batch whose members on major line
-  /// m are masks.row(m), for every m of `lines`: clear all sources, then set
-  /// all destinations `shift` lines on.
-  void apply(const OccupancyGrid& masks, std::span<const std::int32_t> lines,
-             std::int32_t shift);
-  [[nodiscard]] Coord site_at(std::int32_t major, std::int32_t minor) const {
-    return horiz_ ? Coord{minor, major} : Coord{major, minor};
+  using Word = BitRow::Word;
+
+  [[nodiscard]] Word* line(std::vector<Word>& words, std::int32_t m) {
+    return words.data() + static_cast<std::size_t>(m) * wpl_;
   }
+  /// Index of site (major, minor) in a flat per-line array of bits.
+  [[nodiscard]] std::size_t bit_at(std::int32_t major, std::int32_t minor) const {
+    return static_cast<std::size_t>(major) * wpl_ * BitRow::kWordBits +
+           static_cast<std::size_t>(minor);
+  }
+  /// Check `sites` and set them in movers_ and live_.
+  void bucket(std::span<const Coord> sites);
+  /// Legalize the `left` movers of movers_ as one round, appending to moves_.
+  /// With `carry`, every moved site is set in next_/next_live_.
+  void round(Direction dir, std::int32_t dmaj, std::int32_t steps, std::size_t left, bool carry);
+  /// True when all of movers_ is one legal lockstep command.
+  [[nodiscard]] bool legal_as_one(std::int32_t dmaj, std::int32_t steps);
+  /// Lockstep apply of the batch in batch_ (lines batch_lines_): clear all
+  /// sources, set all destinations `shift` lines on, drop the members from
+  /// movers_, then emit the move.
+  void apply(Direction dir, std::int32_t steps, std::int32_t shift, bool carry);
 
   bool horiz_;
-  OccupancyGrid gmaj_;  ///< the grid, rows = major lines
-  OccupancyGrid rmaj_;  ///< sites still to move, bucketed by major line
-  OccupancyGrid mmaj_;  ///< current batch's members (row m = line m's mask)
-  BitRow present_;      ///< scratch: major lines holding a site
-  std::vector<std::int32_t> live_;         ///< lines of rmaj_ with sites, front-first
+  std::int32_t majors_;
+  std::int32_t minors_;
+  std::size_t wpl_;                        ///< words per major line
+  std::vector<Word> grid_;                 ///< the grid, by major line
+  std::vector<Word> movers_;               ///< sites still to move this round
+  std::vector<Word> batch_;                ///< the current batch's members
+  std::vector<Word> next_;                 ///< next round's movers (unit phases only)
+  std::vector<Word> live_;                 ///< bit m: line m of movers_ is non-empty
+  std::vector<Word> next_live_;            ///< the same for next_
+  std::vector<Word> acc_min_;              ///< minors accepted into the batch
+  std::vector<Word> bystander_minors_;     ///< minors with a bystander on an accepted line
   std::vector<std::int32_t> batch_lines_;  ///< lines accepted into the batch, in order
-  BitRow acc_min_;           ///< minors accepted into the batch
-  BitRow bystander_minors_;  ///< minors with a bystander on an accepted line
-  BitRow minmask_;           ///< every site's minor (the one-command probe)
-  BitRow accepted_;          ///< one line's accepted mask
-  std::vector<BitRow::Word> surv_;
-  std::vector<Coord> batch_;
+  std::vector<Coord> batch_sites_;         ///< the batch's sites, in emission order
+  std::vector<ParallelMove> moves_;        ///< the moves legalized by the current call
 };
 
 /// One-shot form of `AodLegalizer::legalize`: partitions one intent against

@@ -1,8 +1,9 @@
 #include "moves/realizer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
-#include <set>
+#include <string>
 
 #include "moves/aod.hpp"
 #include "moves/executor.hpp"
@@ -29,12 +30,14 @@ void validate_assignment(const OccupancyGrid& grid, Axis axis, const LineAssignm
   QRM_EXPECTS_MSG(a.line >= 0 && a.line < line_count, "assignment line out of range");
   QRM_EXPECTS_MSG(a.sources.size() == a.targets.size(),
                   "assignment sources/targets size mismatch");
+  BitRow column;
+  const BitRow& atoms = axis == Axis::Rows ? grid.row(a.line) : (column = grid.column(a.line));
   for (std::size_t i = 0; i < a.sources.size(); ++i) {
     QRM_EXPECTS_MSG(a.sources[i] >= 0 && a.sources[i] < line_length,
                     "assignment source out of range");
     QRM_EXPECTS_MSG(a.targets[i] >= 0 && a.targets[i] < line_length,
                     "assignment target out of range");
-    QRM_EXPECTS_MSG(grid.occupied(to_coord(axis, a.line, a.sources[i])),
+    QRM_EXPECTS_MSG(atoms.test(static_cast<std::uint32_t>(a.sources[i])),
                     "assignment source holds no atom");
     if (i > 0) {
       QRM_EXPECTS_MSG(a.sources[i] > a.sources[i - 1], "assignment sources must ascend");
@@ -44,23 +47,26 @@ void validate_assignment(const OccupancyGrid& grid, Axis axis, const LineAssignm
   // Full-line order consistency: merge fixed atoms (unselected) with the
   // moving atoms' targets in source order; the sequence must stay strictly
   // increasing and duplicate-free, or motion would require passing an atom.
-  // Sources are strictly ascending (checked above), so a two-pointer sweep
-  // pairs each selected occupied site with its target in index order —
-  // no set lookups or per-line allocations on this hot path.
+  // Sources are strictly ascending (checked above), so one sweep over the
+  // line's set bits, word by word, pairs each selected site with its target
+  // in index order — no set lookups or per-position probes on this hot
+  // path. Final positions are >= 0, so -1 is below every one.
   std::size_t next_moving = 0;
   std::int32_t prev_final = -1;
-  bool have_prev = false;
-  for (std::int32_t pos = 0; pos < line_length; ++pos) {
-    if (!grid.occupied(to_coord(axis, a.line, pos))) continue;
-    std::int32_t final_pos = pos;
-    if (next_moving < a.sources.size() && a.sources[next_moving] == pos) {
-      final_pos = a.targets[next_moving++];
+  const auto& words = atoms.words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (BitRow::Word bits = words[w]; bits != 0; bits &= bits - 1) {
+      const auto pos = static_cast<std::int32_t>(w * BitRow::kWordBits +
+                                                 static_cast<std::size_t>(std::countr_zero(bits)));
+      std::int32_t final_pos = pos;
+      if (next_moving < a.sources.size() && a.sources[next_moving] == pos) {
+        final_pos = a.targets[next_moving++];
+      }
+      QRM_EXPECTS_MSG(final_pos > prev_final,
+                      "assignment would require an atom to pass another in line " +
+                          std::to_string(a.line));
+      prev_final = final_pos;
     }
-    QRM_EXPECTS_MSG(!have_prev || final_pos > prev_final,
-                    "assignment would require an atom to pass another in line " +
-                        std::to_string(a.line));
-    prev_final = final_pos;
-    have_prev = true;
   }
 }
 
@@ -146,11 +152,15 @@ std::size_t run_phase_dead(OccupancyGrid& grid, Axis axis, std::vector<Mover>& m
   return rounds;
 }
 
-/// Run all rounds of one phase. `toward_origin` selects atoms that must
-/// decrease their position (motion W/N); otherwise increase (E/S).
+/// Run all rounds of one phase of unit steps. `toward_origin` selects atoms
+/// that must decrease their position (motion W/N); otherwise increase (E/S).
 ///
-/// Movers are sorted by remaining displacement (descending) so that each
-/// round only touches the prefix still in motion; total work is the sum of
+/// With a legalizer the whole phase is handed over at once: it takes every
+/// mover's site and displacement, carries the movers from round to round as
+/// bit masks and checks that each one lands on its target. Without one,
+/// each round is one ParallelMove of every mover still short of its target;
+/// movers are sorted by remaining displacement (descending), so each round
+/// only touches the prefix still in motion and total work is the sum of
 /// displacements, not movers x rounds.
 std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers,
                       bool toward_origin, Schedule& schedule, AodLegalizer* legalizer) {
@@ -165,6 +175,19 @@ std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers
   for (auto& m : movers) {
     if (remaining(m) > 0) active.push_back(&m);
   }
+  if (legalizer != nullptr) {
+    std::vector<Coord> sites;
+    std::vector<std::int32_t> displacements;
+    std::int32_t rounds = 0;
+    for (Mover* m : active) {
+      sites.push_back(to_coord(axis, m->line, m->pos));
+      displacements.push_back(remaining(*m));
+      rounds = std::max(rounds, remaining(*m));
+      m->pos = m->target;  // the legalizer checks every arrival
+    }
+    legalizer->run_unit_phase(sites, displacements, dir, schedule);
+    return static_cast<std::size_t>(rounds);
+  }
   std::sort(active.begin(), active.end(),
             [&remaining](const Mover* a, const Mover* b) { return remaining(*a) > remaining(*b); });
 
@@ -174,7 +197,7 @@ std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers
     std::vector<Coord> stepping;
     stepping.reserve(active.size());
     for (Mover* m : active) stepping.push_back(to_coord(axis, m->line, m->pos));
-    emit_round(grid, std::move(stepping), dir, 1, schedule, legalizer);
+    emit_round(grid, std::move(stepping), dir, 1, schedule, nullptr);
     for (Mover* m : active) m->pos += delta;
     // Arrived movers form a suffix of the displacement-sorted list.
     while (!active.empty() && remaining(*active.back()) == 0) active.pop_back();
@@ -188,12 +211,15 @@ std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers
 RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
                                   std::span<const LineAssignment> assignments,
                                   Schedule& schedule, const RealizeOptions& options) {
-  std::set<std::int32_t> seen_lines;
+  std::vector<bool> seen_lines(
+      static_cast<std::size_t>(axis == Axis::Rows ? grid.height() : grid.width()));
   std::vector<Mover> movers;
   for (const auto& a : assignments) {
-    QRM_EXPECTS_MSG(seen_lines.insert(a.line).second,
+    const auto line = static_cast<std::size_t>(a.line);
+    QRM_EXPECTS_MSG(a.line < 0 || line >= seen_lines.size() || !seen_lines[line],
                     "duplicate line in one realize call");
     validate_assignment(grid, axis, a);
+    seen_lines[line] = true;
     for (std::size_t i = 0; i < a.sources.size(); ++i) {
       if (a.sources[i] != a.targets[i]) movers.push_back({a.line, a.sources[i], a.targets[i]});
     }
@@ -230,8 +256,11 @@ RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
   }
   if (legalizer.has_value()) grid = std::move(*legalizer).take_grid();
 
+  // Legalized phases set pos to target up front (the legalizer checks each
+  // arrival), so the grid itself is checked too: every target holds an atom.
   for (const auto& m : movers) {
-    QRM_ENSURES_MSG(m.pos == m.target, "realizer failed to deliver an atom");
+    QRM_ENSURES_MSG(m.pos == m.target && grid.occupied(to_coord(axis, m.line, m.target)),
+                    "realizer failed to deliver an atom");
   }
   return result;
 }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <set>
 
 #include "util/assert.hpp"
@@ -64,6 +65,98 @@ Coord east_frame_to(Direction dir, std::int32_t n, Coord c) {
     case Direction::North: return {n - 1 - c.col, c.row};
   }
   return c;
+}
+
+/// One `realize_assignments` input of the wide battery.
+struct RealizeCase {
+  OccupancyGrid grid;
+  Axis axis;
+  std::vector<LineAssignment> assignments;
+  bool with_dead;
+};
+
+/// Dead channels of the wide battery's hop cases (each inside every size).
+const DeadChannelMask kBatteryDead{{3, 17}, {5, 11, 22}};
+
+/// Seeded realize inputs on lines 24, 70, 130 and 256 long (one word, and
+/// multi-word lines with and without a partial tail), both axes. Each size
+/// gets three kinds of assignment:
+///   * random: a random subset of each line's atoms moves to fresh ascending
+///     positions between its fixed neighbours, so one line moves both ways;
+///   * merged half-lines: every atom of the low half packs up against the
+///     middle (away from the origin) and every atom of the high half packs
+///     down against it (toward the origin), the quadrant planner's shape;
+///   * random on a grid with dead rows and columns, so rounds become hops.
+std::vector<RealizeCase> wide_realize_battery() {
+  std::vector<RealizeCase> cases;
+  Rng rng(4242);
+  for (const std::int32_t n : {24, 70, 130, 256}) {
+    for (const Axis axis : {Axis::Rows, Axis::Cols}) {
+      for (int kind = 0; kind < 3; ++kind) {
+        const auto seed = static_cast<std::uint64_t>(n * 10 + kind * 2) +
+                          (axis == Axis::Rows ? 0U : 1U);
+        // Non-square for the random kinds, so major and minor extents differ.
+        OccupancyGrid grid = load_random(n, kind == 1 ? n : n + 3, {0.5, 7000 + seed});
+        const bool with_dead = kind == 2;
+        if (with_dead) grid = mask_dead_lines(grid, kBatteryDead);
+        const std::int32_t lines = axis == Axis::Rows ? grid.height() : grid.width();
+        const std::int32_t length = axis == Axis::Rows ? grid.width() : grid.height();
+        const auto& dead_positions = axis == Axis::Rows ? kBatteryDead.cols : kBatteryDead.rows;
+        const auto live = [&](std::int32_t p) {
+          return !with_dead || std::find(dead_positions.begin(), dead_positions.end(), p) ==
+                                   dead_positions.end();
+        };
+        std::vector<LineAssignment> assignments;
+        for (std::int32_t line = 0; line < lines; ++line) {
+          std::vector<std::int32_t> atoms;
+          for (std::int32_t p = 0; p < length; ++p)
+            if (grid.occupied(axis == Axis::Rows ? Coord{line, p} : Coord{p, line}))
+              atoms.push_back(p);
+          if (atoms.empty() || rng.bernoulli(0.15)) continue;
+          LineAssignment a;
+          a.line = line;
+          if (kind == 1) {
+            const std::int32_t mid = length / 2;
+            const auto low = static_cast<std::int32_t>(
+                std::lower_bound(atoms.begin(), atoms.end(), mid) - atoms.begin());
+            for (std::int32_t i = 0; i < static_cast<std::int32_t>(atoms.size()); ++i) {
+              a.sources.push_back(atoms[static_cast<std::size_t>(i)]);
+              a.targets.push_back(i < low ? mid - low + i : mid + i - low);
+            }
+          } else {
+            // Fixed atoms split the line into segments; the movers of a
+            // segment take random ascending live positions inside it.
+            std::vector<std::int32_t> segment;
+            std::int32_t lo = 0;
+            const auto place = [&](std::int32_t hi) {
+              std::vector<std::int32_t> free_cells;
+              for (std::int32_t p = lo; p < hi; ++p)
+                if (live(p)) free_cells.push_back(p);
+              std::set<std::int32_t> chosen;
+              while (chosen.size() < segment.size())
+                chosen.insert(free_cells[rng.uniform_below(
+                    static_cast<std::uint32_t>(free_cells.size()))]);
+              a.sources.insert(a.sources.end(), segment.begin(), segment.end());
+              a.targets.insert(a.targets.end(), chosen.begin(), chosen.end());
+              segment.clear();
+            };
+            for (const std::int32_t p : atoms) {
+              if (rng.bernoulli(0.7)) {
+                segment.push_back(p);
+              } else {
+                place(p);
+                lo = p + 1;
+              }
+            }
+            place(length);
+          }
+          assignments.push_back(std::move(a));
+        }
+        cases.push_back({std::move(grid), axis, std::move(assignments), with_dead});
+      }
+    }
+  }
+  return cases;
 }
 
 // ---------------------------------------------------------------------------
@@ -150,6 +243,30 @@ TEST(Aod, LegalizeRejectsDuplicateSites) {
   g.set({2, 2});
   const std::vector<Coord> sites{{1, 1}, {2, 2}, {1, 1}};
   EXPECT_THROW((void)legalize(g, sites, Direction::East, 1), PreconditionError);
+}
+
+TEST(Aod, UnitPhaseRejectsMalformedSites) {
+  // The phase entry checks its sites the way legalize does, and also each
+  // displacement and target, before it emits anything.
+  OccupancyGrid g(4, 4);
+  g.set({1, 1});
+  g.set({2, 2});
+  const auto rejects = [&](const std::vector<Coord>& sites,
+                           const std::vector<std::int32_t>& displacements) {
+    Schedule out;
+    EXPECT_THROW(AodLegalizer(g, true).run_unit_phase(sites, displacements, Direction::East, out),
+                 PreconditionError);
+    EXPECT_TRUE(out.empty());
+  };
+  rejects({{1, 1}, {2, 2}, {1, 1}}, {1, 1, 1});  // duplicate site
+  rejects({{1, 1}, {3, 0}}, {1, 1});              // site without an atom
+  rejects({{1, 1}, {4, 0}}, {1, 1});              // site off the grid
+  rejects({{1, 1}, {2, 2}}, {1, 0});              // no displacement
+  rejects({{1, 1}, {2, 2}}, {1, 2});              // target off the grid
+  rejects({{1, 1}, {2, 2}}, {1});                 // size mismatch
+
+  // A displacement past any grid is rejected before anything is sized by it.
+  rejects({{1, 1}, {2, 2}}, {1, std::numeric_limits<std::int32_t>::max()});
 }
 
 TEST(Aod, LegalizeHandsBlockedFollowerToLaterBatch) {
@@ -575,6 +692,90 @@ TEST(Realizer, RandomisedAssignmentsExecuteCleanly) {
         }
       }
     }
+  }
+}
+
+TEST(Realizer, LegalizedSchedulesArePinned) {
+  // Pins the legalized schedule (every command's direction, steps and sites
+  // in order), the round counts and the final grid of every case of the
+  // wide battery: lines up to 256 long, where the registry's scenarios stay
+  // at 50 or below.
+  std::uint64_t hash = fnv::kOffset;
+  std::size_t total_moves = 0;
+  for (const RealizeCase& c : wide_realize_battery()) {
+    OccupancyGrid grid = c.grid;
+    Schedule schedule;
+    const RealizeResult result =
+        realize_assignments(grid, c.axis, c.assignments, schedule,
+                            {.aod_legalize = true, .dead = c.with_dead ? &kBatteryDead : nullptr});
+    total_moves += schedule.size();
+    fnv::mix_u64(hash, result.rounds_toward_origin);
+    fnv::mix_u64(hash, result.rounds_away);
+    fnv::mix_u64(hash, result.atoms_moved);
+    fnv::mix_u64(hash, schedule.size());
+    for (const ParallelMove& m : schedule.moves()) {
+      fnv::mix_u64(hash, static_cast<std::uint64_t>(m.dir));
+      fnv::mix_u64(hash, static_cast<std::uint64_t>(m.steps));
+      fnv::mix_u64(hash, m.sites.size());
+      for (const Coord& s : m.sites) {
+        fnv::mix_u64(hash, static_cast<std::uint64_t>(s.row));
+        fnv::mix_u64(hash, static_cast<std::uint64_t>(s.col));
+      }
+    }
+    for (std::int32_t r = 0; r < grid.height(); ++r)
+      for (const BitRow::Word w : grid.row(r).words()) fnv::mix_u64(hash, w);
+  }
+  EXPECT_EQ(total_moves, 41642u);
+  EXPECT_EQ(hash, 6928359167531501300ULL) << "legalized realize drifted";
+}
+
+TEST(Realizer, LegalizedPhasesMatchPerRoundLegalize) {
+  // Reference for the legalized unit-step phases: step every mover still
+  // short of its target one cell per round, toward the origin first, with
+  // one free legalize() call per round on the current grid. Realize must
+  // emit exactly that schedule and land on the same grid, on every
+  // hop-free case of the wide battery.
+  for (const RealizeCase& c : wide_realize_battery()) {
+    if (c.with_dead) continue;
+    OccupancyGrid grid = c.grid;
+    Schedule schedule;
+    (void)realize_assignments(grid, c.axis, c.assignments, schedule);
+
+    OccupancyGrid state = c.grid;
+    Schedule reference;
+    for (const bool toward_origin : {true, false}) {
+      const Direction dir = c.axis == Axis::Rows
+                                ? (toward_origin ? Direction::West : Direction::East)
+                                : (toward_origin ? Direction::North : Direction::South);
+      const std::int32_t delta = toward_origin ? -1 : +1;
+      std::vector<std::pair<Coord, std::int32_t>> movers;  // position, rounds left
+      for (const LineAssignment& a : c.assignments) {
+        for (std::size_t i = 0; i < a.sources.size(); ++i) {
+          const std::int32_t left = (a.targets[i] - a.sources[i]) * delta;
+          if (left <= 0) continue;
+          movers.push_back({c.axis == Axis::Rows ? Coord{a.line, a.sources[i]}
+                                                 : Coord{a.sources[i], a.line},
+                            left});
+        }
+      }
+      for (;;) {
+        std::vector<Coord> sites;
+        for (auto& [at, left] : movers) {
+          if (left == 0) continue;
+          sites.push_back(at);
+          at = moved(at, dir, 1);
+          --left;
+        }
+        if (sites.empty()) break;
+        for (const ParallelMove& b : legalize(state, sites, dir, 1)) {
+          ASSERT_NO_THROW(apply_move(state, b, true));
+          reference.push_back(b);
+        }
+      }
+    }
+    EXPECT_EQ(grid, state);
+    ASSERT_EQ(schedule.size(), reference.size());
+    EXPECT_TRUE(schedule == reference);
   }
 }
 

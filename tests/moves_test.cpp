@@ -479,6 +479,46 @@ TEST(Executor, LockstepChainIsValid) {
   EXPECT_FALSE(g.occupied({0, 2}));
 }
 
+TEST(Executor, FortySiteMovesReportTheFirstError) {
+  // Two rows of a 40-atom lockstep chain (columns 1..20): large enough that
+  // membership is not probed site by site, with every error kind placed
+  // behind valid sites so the first one in site order must be reported.
+  OccupancyGrid g(3, 24);
+  std::vector<Coord> chain;
+  for (const std::int32_t r : {0, 2})
+    for (std::int32_t c = 1; c <= 20; ++c) {
+      g.set({r, c});
+      chain.push_back({r, c});
+    }
+  ASSERT_EQ(chain.size(), 40u);
+  EXPECT_FALSE(validate_move(g, {Direction::West, 1, chain}, false).has_value());
+  EXPECT_FALSE(validate_move(g, {Direction::East, 3, chain}, false).has_value());
+
+  const auto error = [&g](Direction dir, std::int32_t steps, std::vector<Coord> sites) {
+    return validate_move(g, {dir, steps, std::move(sites)}, false).value_or("valid");
+  };
+  std::vector<Coord> duplicate = chain;
+  duplicate[30] = {0, 7};
+  EXPECT_EQ(error(Direction::West, 1, duplicate), "duplicate source: (0,7)");
+  std::vector<Coord> empty = chain;
+  empty[25] = {1, 5};
+  EXPECT_EQ(error(Direction::West, 1, empty), "source holds no atom: (1,5)");
+  // The earlier of two faults wins, whichever kind it is.
+  std::vector<Coord> both = duplicate;
+  both[35] = {1, 5};
+  EXPECT_EQ(error(Direction::West, 1, both), "duplicate source: (0,7)");
+  both[12] = {1, 6};
+  EXPECT_EQ(error(Direction::West, 1, both), "source holds no atom: (1,6)");
+
+  g.set({2, 22});  // bystander two cells east of the second row's chain
+  EXPECT_EQ(error(Direction::East, 2, chain),
+            "collision with bystander atom at (2,22) while moving (2,20)");
+  std::vector<Coord> shorter = chain;
+  shorter.pop_back();  // (2,20) stays put: (2,19) now runs into it
+  EXPECT_EQ(error(Direction::East, 1, shorter),
+            "collision with bystander atom at (2,20) while moving (2,19)");
+}
+
 TEST(Executor, MultiStepSweepChecksPath) {
   OccupancyGrid g(1, 6);
   g.set({0, 0});

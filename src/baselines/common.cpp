@@ -96,9 +96,9 @@ GlobalPlacement compute_balanced_placement(const OccupancyGrid& grid, const Regi
       final_positions.insert(c);
     }
     QRM_ENSURES(final_positions.size() == row_atoms.size());
-    std::vector<std::int32_t> targets(final_positions.begin(), final_positions.end());
+    const std::vector<std::int32_t> targets(final_positions.begin(), final_positions.end());
     if (targets == row_atoms) continue;
-    placement.row_assignments.push_back({r, row_atoms, std::move(targets)});
+    placement.row_assignments.push_back(make_assignment(r, width, row_atoms, targets));
   }
   return placement;
 }
@@ -113,10 +113,10 @@ std::vector<LineAssignment> compute_band_columns(const OccupancyGrid& grid,
     if (atoms.empty()) continue;
     // Columns outside the target still tidy toward the band (harmless and
     // keeps the array compact, mirroring the published procedures).
-    std::vector<std::int32_t> targets =
+    const std::vector<std::int32_t> targets =
         band_targets(atoms, target.row0, target.rows, grid.height());
     if (targets == atoms) continue;
-    out.push_back({c, std::move(atoms), std::move(targets)});
+    out.push_back(make_assignment(c, grid.height(), atoms, targets));
   }
   return out;
 }

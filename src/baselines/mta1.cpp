@@ -42,7 +42,11 @@ std::int64_t full_frame_scan(const OccupancyGrid& state) {
 /// atom at a time, one unit step per command, re-scanning before each step.
 void deliver_line(OccupancyGrid& state, Axis axis, const LineAssignment& assignment,
                   Schedule& schedule, PassInfo& info, std::int64_t expected_atoms) {
-  const auto n = static_cast<std::int32_t>(assignment.targets.size());
+  const std::vector<std::uint32_t> targets = assignment.targets.set_positions();
+  const auto goal = [&targets](std::int32_t k) {
+    return static_cast<std::int32_t>(targets[static_cast<std::size_t>(k)]);
+  };
+  const auto n = static_cast<std::int32_t>(targets.size());
   const Direction toward = axis == Axis::Rows ? Direction::West : Direction::North;
   const Direction away = axis == Axis::Rows ? Direction::East : Direction::South;
 
@@ -51,8 +55,7 @@ void deliver_line(OccupancyGrid& state, Axis axis, const LineAssignment& assignm
   const auto deliver = [&](std::int32_t k, Direction dir) {
     while (true) {
       const std::int32_t pos = locate_kth_atom(state, axis, assignment.line, k);
-      const std::int32_t goal = assignment.targets[static_cast<std::size_t>(k)];
-      const bool wants = dir == toward ? pos > goal : pos < goal;
+      const bool wants = dir == toward ? pos > goal(k) : pos < goal(k);
       if (!wants) break;
       const Coord site = axis == Axis::Rows ? Coord{assignment.line, pos}
                                             : Coord{pos, assignment.line};
@@ -66,7 +69,7 @@ void deliver_line(OccupancyGrid& state, Axis axis, const LineAssignment& assignm
   bool any_motion = false;
   for (std::int32_t k = 0; k < n; ++k) {
     const std::int32_t before = locate_kth_atom(state, axis, assignment.line, k);
-    if (before > assignment.targets[static_cast<std::size_t>(k)]) {
+    if (before > goal(k)) {
       QRM_ENSURES_MSG(full_frame_scan(state) == expected_atoms, "MTA1 lost an atom");
       deliver(k, toward);
       any_motion = true;
@@ -75,7 +78,7 @@ void deliver_line(OccupancyGrid& state, Axis axis, const LineAssignment& assignm
   }
   for (std::int32_t k = n - 1; k >= 0; --k) {
     const std::int32_t before = locate_kth_atom(state, axis, assignment.line, k);
-    if (before < assignment.targets[static_cast<std::size_t>(k)]) {
+    if (before < goal(k)) {
       QRM_ENSURES_MSG(full_frame_scan(state) == expected_atoms, "MTA1 lost an atom");
       deliver(k, away);
       any_motion = true;

@@ -15,7 +15,7 @@ namespace {
 /// One line's fixed placement: ordered targets for its atoms (identified by
 /// rank: the i-th atom of the line, in ascending position, goes to
 /// targets[i]; ranks are stable because moves preserve order).
-using TargetsByLine = std::map<std::int32_t, std::vector<std::int32_t>>;
+using TargetsByLine = std::map<std::int32_t, std::vector<std::uint32_t>>;
 
 /// Re-scan the grid and advance every atom that is still short of its
 /// target by one step in `dir`; returns the number of atoms advanced.
@@ -41,7 +41,7 @@ std::size_t advance_round(OccupancyGrid& state, Axis axis, const TargetsByLine& 
                     "PSCA line population changed unexpectedly");
     for (std::size_t i = 0; i < atoms.size(); ++i) {
       const std::int32_t current = atoms[i];
-      const std::int32_t goal = line_targets[i];
+      const auto goal = static_cast<std::int32_t>(line_targets[i]);
       const bool wants = toward_origin ? current > goal : current < goal;
       if (wants) {
         movers.push_back(axis == Axis::Rows ? Coord{line, current} : Coord{current, line});
@@ -91,7 +91,7 @@ PassInfo run_axis(OccupancyGrid& state, Axis axis, const TargetsByLine& targets,
 
 TargetsByLine targets_of(const std::vector<LineAssignment>& assignments) {
   TargetsByLine out;
-  for (const auto& a : assignments) out.emplace(a.line, a.targets);
+  for (const auto& a : assignments) out.emplace(a.line, a.targets.set_positions());
   return out;
 }
 

@@ -10,22 +10,18 @@ namespace qrm {
 
 namespace {
 
-/// Compact one line toward position 0 in place (gated positions keep their
-/// contents), returning the number of movement records (atoms that shift).
-std::uint64_t compact_line(BitRow& line, std::int32_t sen_limit) {
-  const std::uint32_t width = line.width();
-  const std::uint32_t gate =
-      sen_limit < 0 ? width : std::min(width, static_cast<std::uint32_t>(sen_limit));
-  // Atoms below the gate compact to a prefix; everything at/above the gate
-  // is frozen. first_hole below the gate marks the already-compact prefix.
-  const std::uint32_t atoms = line.count_range(0, gate);
-  std::uint32_t prefix = 0;
-  while (prefix < gate && line.test(prefix)) ++prefix;
-  if (prefix >= atoms) return 0;  // already compact below the gate
-  const std::uint64_t records = atoms - prefix;
-  // Rebuild: [0, atoms) set, [atoms, gate) clear, tail untouched.
-  for (std::uint32_t i = 0; i < atoms; ++i) line.set(i);
-  for (std::uint32_t i = atoms; i < gate; ++i) line.clear(i);
+/// Apply one row pass's assignments to `grid`, each row becoming
+/// (row & ~sources) | targets, and return the movement records (atoms that
+/// shift). Sources are atoms of the row, so XOR clears them.
+std::uint64_t apply_rows(OccupancyGrid& grid, const std::vector<LineAssignment>& assignments) {
+  std::uint64_t records = 0;
+  for (const LineAssignment& a : assignments) {
+    BitRow row = grid.row(a.line);
+    row ^= a.sources;
+    row |= a.targets;
+    grid.set_row(a.line, std::move(row));
+    records += a.movers();
+  }
   return records;
 }
 
@@ -52,46 +48,25 @@ CpuReferenceResult run_cpu_reference(const OccupancyGrid& initial, const QrmConf
   for (const Quadrant q : kAllQuadrants)
     local[static_cast<std::size_t>(q)] = geom.extract_local(initial, q);
 
+  // A column pass runs as a row pass on the transposed frame, so every
+  // assignment applies to a row.
   const auto compact_pass_all = [&](Axis axis) {
     for (auto& grid : local) {
-      const std::int32_t lines = axis == Axis::Rows ? grid.height() : grid.width();
-      for (std::int32_t i = 0; i < lines; ++i) {
-        BitRow line = axis == Axis::Rows ? grid.row(i) : grid.column(i);
-        result.movement_records += compact_line(line, config.sen_limit);
-        if (axis == Axis::Rows) {
-          grid.set_row(i, std::move(line));
-        } else {
-          grid.set_column(i, line);
-        }
-      }
+      if (axis == Axis::Cols) grid = grid.flipped(Flip::Transpose);
+      result.movement_records +=
+          apply_rows(grid, compact_pass(grid, Axis::Rows, config.sen_limit));
+      if (axis == Axis::Cols) grid = grid.flipped(Flip::Transpose);
     }
     ++result.passes;
   };
 
   if (config.mode == PlanMode::Balanced) {
-    // Balance unit: demand assignment per quadrant, then write the new row
-    // images directly (the hardware realises them as shift commands).
     for (auto& grid : local) {
       BalanceReport report;
       const auto assignments =
           balance_pass(grid, quarter_rows, quarter_cols, config.sen_limit, &report);
       if (!report.feasible) result.feasible = false;
-      for (const auto& a : assignments) {
-        BitRow line(static_cast<std::uint32_t>(grid.width()));
-        // Keep gated atoms in place.
-        if (config.sen_limit >= 0) {
-          const BitRow& old = grid.row(a.line);
-          for (std::uint32_t i = static_cast<std::uint32_t>(config.sen_limit);
-               i < old.width(); ++i) {
-            if (old.test(i)) line.set(i);
-          }
-        }
-        for (std::size_t i = 0; i < a.targets.size(); ++i) {
-          line.set(static_cast<std::uint32_t>(a.targets[i]));
-          if (a.targets[i] != a.sources[i]) ++result.movement_records;
-        }
-        grid.set_row(a.line, std::move(line));
-      }
+      result.movement_records += apply_rows(grid, assignments);
     }
     ++result.passes;
     compact_pass_all(Axis::Cols);

@@ -4,14 +4,15 @@
 /// the C++ algorithm on the CPU" — i.e. the accelerator's own analysis,
 /// executed in software.
 ///
-/// This implementation mirrors the hardware dataflow directly on BitRow
-/// words: quadrant flips, per-line scans producing shift commands, the
-/// balance unit's demand assignment, and movement-record extraction with
-/// empty-shift elimination. It produces the same final occupancy as
-/// QrmPlanner (tests enforce equality) but does not materialise the
-/// move-by-move schedule — exactly like the FPGA, whose output is the
-/// packed movement-record stream. Fig. 7(a)'s CPU column times this
-/// function.
+/// It runs the planner's own quadrant kernels (core/quadrant_plan.hpp) on
+/// the four local frames and applies each line assignment as one word
+/// operation, line = (line & ~sources) | targets. Nothing is lowered to
+/// moves: like the FPGA, whose output is the packed movement-record stream,
+/// it only counts the atoms that shift. It predicts the same final
+/// occupancy as QrmPlanner; since both share the kernels, that equality
+/// checks the lowering and realization, and the kernels themselves are
+/// checked against an independent per-atom reference in the tests.
+/// Fig. 7(a)'s CPU column times this function.
 
 #include <cstdint>
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -14,31 +13,19 @@ namespace qrm {
 
 namespace {
 
-/// Map one quadrant-local assignment into global coordinates. Local lines
-/// map to global lines of the same axis (quadrant flips never transpose);
-/// positions mirror for quadrants whose local axis points away from the
-/// global one, so arrays are reversed to stay ascending.
+/// Map one quadrant-local assignment onto its global line. Local lines map
+/// to global lines of the same axis (quadrant flips never transpose); the
+/// half-line lands at the centre, mirrored for quadrants whose local axis
+/// points away from the global one.
 LineAssignment to_global_assignment(const QuadrantGeometry& geom, Quadrant q, Axis axis,
                                     const LineAssignment& local) {
-  LineAssignment global;
-  const auto map_pos = [&](std::int32_t pos) {
-    const Coord lc = axis == Axis::Rows ? Coord{local.line, pos} : Coord{pos, local.line};
-    const Coord gc = geom.to_global(q, lc);
-    return axis == Axis::Rows ? gc.col : gc.row;
-  };
-  {
-    const Coord lc0 = axis == Axis::Rows ? Coord{local.line, 0} : Coord{0, local.line};
-    const Coord gc0 = geom.to_global(q, lc0);
-    global.line = axis == Axis::Rows ? gc0.row : gc0.col;
-  }
-  global.sources.reserve(local.sources.size());
-  global.targets.reserve(local.targets.size());
-  for (const auto s : local.sources) global.sources.push_back(map_pos(s));
-  for (const auto t : local.targets) global.targets.push_back(map_pos(t));
-  if (global.sources.size() > 1 && global.sources.front() > global.sources.back()) {
-    std::reverse(global.sources.begin(), global.sources.end());
-    std::reverse(global.targets.begin(), global.targets.end());
-  }
+  const bool rows = axis == Axis::Rows;
+  const Coord origin = geom.to_global(q, rows ? Coord{local.line, 0} : Coord{0, local.line});
+  const std::uint32_t half = local.sources.width();
+  const bool mirrored = static_cast<std::uint32_t>(rows ? origin.col : origin.row) < half;
+  LineAssignment global{rows ? origin.row : origin.col, BitRow(2 * half), BitRow(2 * half)};
+  global.sources.paste(mirrored ? 0 : half, mirrored ? local.sources.reversed() : local.sources);
+  global.targets.paste(mirrored ? 0 : half, mirrored ? local.targets.reversed() : local.targets);
   return global;
 }
 
@@ -180,35 +167,23 @@ void PassDriver::apply(QuadrantPass pass) {
   if (config_.merge_quadrants) {
     // Paper Sec. IV-C: west-side (NW+SW) and east-side (NE+SE) shifts run as
     // shared commands; realizing both half-lines of every global line in one
-    // call yields exactly those shared rounds.
-    std::map<std::int32_t, LineAssignment> merged;
-    for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) {
-      for (LineAssignment& ga : globals[qi]) {
-        auto [it, inserted] = merged.try_emplace(ga.line, std::move(ga));
-        if (!inserted) {
-          // try_emplace left `ga` untouched; append it to the accumulated
-          // half-line. The two halves occupy disjoint position ranges.
-          LineAssignment& acc = it->second;
-          LineAssignment& incoming = ga;
-          const bool after = acc.sources.empty() || incoming.sources.empty() ||
-                             incoming.sources.front() > acc.sources.back();
-          if (after) {
-            acc.sources.insert(acc.sources.end(), incoming.sources.begin(),
-                               incoming.sources.end());
-            acc.targets.insert(acc.targets.end(), incoming.targets.begin(),
-                               incoming.targets.end());
-          } else {
-            acc.sources.insert(acc.sources.begin(), incoming.sources.begin(),
-                               incoming.sources.end());
-            acc.targets.insert(acc.targets.begin(), incoming.targets.begin(),
-                               incoming.targets.end());
-          }
+    // call yields exactly those shared rounds. The two half-lines of a
+    // global line cover disjoint halves, so their masks OR into the line's
+    // slot; lines come out ascending.
+    std::vector<LineAssignment> lines(static_cast<std::size_t>(
+        pass.axis == Axis::Rows ? geometry_.height() : geometry_.width()));
+    for (auto& quadrant : globals) {
+      for (LineAssignment& ga : quadrant) {
+        LineAssignment& slot = lines[static_cast<std::size_t>(ga.line)];
+        if (slot.sources.empty()) {
+          slot = std::move(ga);
+        } else {
+          slot.sources |= ga.sources;
+          slot.targets |= ga.targets;
         }
       }
     }
-    std::vector<LineAssignment> lines;
-    lines.reserve(merged.size());
-    for (auto& [line, la] : merged) lines.push_back(std::move(la));
+    std::erase_if(lines, [](const LineAssignment& a) { return a.sources.empty(); });
     info.lines_with_motion = lines.size();
     stats_.timers.merge_us += merge_watch.elapsed_microseconds();
     if (!lines.empty()) {

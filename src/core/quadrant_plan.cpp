@@ -1,8 +1,6 @@
 #include "core/quadrant_plan.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <set>
 
 #include "util/assert.hpp"
 
@@ -10,40 +8,26 @@ namespace qrm {
 
 namespace {
 
-/// Atom positions along line `line` of `local` for the given axis, ascending,
-/// excluding positions at or beyond the sen gate. Iterates storage words
-/// directly: this sits on the latency-critical CPU-analysis path.
-std::vector<std::int32_t> line_atoms(const OccupancyGrid& local, Axis axis, std::int32_t line,
-                                     std::int32_t sen_limit) {
-  const BitRow bits = axis == Axis::Rows ? local.row(line) : local.column(line);
-  std::vector<std::int32_t> out;
-  out.reserve(bits.count());
-  const auto& words = bits.words();
-  for (std::size_t wi = 0; wi < words.size(); ++wi) {
-    std::uint64_t w = words[wi];
-    while (w != 0) {
-      const auto bit = static_cast<std::uint32_t>(std::countr_zero(w));
-      const auto p = static_cast<std::int32_t>(wi * BitRow::kWordBits + bit);
-      if (sen_limit >= 0 && p >= sen_limit) return out;
-      out.push_back(p);
-      w &= w - 1;
-    }
-  }
-  return out;
+/// Atoms of one line below the sen gate: the line's scan window.
+BitRow below_gate(const BitRow& line, std::int32_t sen_limit) {
+  const std::uint32_t gate =
+      sen_limit < 0 ? line.width() : std::min(line.width(), static_cast<std::uint32_t>(sen_limit));
+  return line.lowest(line.count_range(0, gate));
 }
 
 }  // namespace
 
 std::vector<LineAssignment> compact_pass(const OccupancyGrid& local, Axis axis,
                                          std::int32_t sen_limit) {
-  const std::int32_t line_count = axis == Axis::Rows ? local.height() : local.width();
+  // A column pass scans the transposed grid's rows: one block transpose
+  // instead of a gather per column.
+  const OccupancyGrid lines = axis == Axis::Rows ? OccupancyGrid() : local.flipped(Flip::Transpose);
+  const OccupancyGrid& scan = axis == Axis::Rows ? local : lines;
   std::vector<LineAssignment> out;
-  for (std::int32_t line = 0; line < line_count; ++line) {
-    std::vector<std::int32_t> sources = line_atoms(local, axis, line, sen_limit);
-    if (sources.empty()) continue;
-    std::vector<std::int32_t> targets(sources.size());
-    for (std::size_t i = 0; i < sources.size(); ++i) targets[i] = static_cast<std::int32_t>(i);
-    if (sources == targets) continue;  // already compact
+  for (std::int32_t line = 0; line < scan.height(); ++line) {
+    BitRow sources = below_gate(scan.row(line), sen_limit);
+    BitRow targets = sources.compacted();
+    if (sources == targets) continue;  // already compact (or empty)
     out.push_back({line, std::move(sources), std::move(targets)});
   }
   return out;
@@ -56,15 +40,17 @@ std::vector<LineAssignment> balance_pass(const OccupancyGrid& local, std::int32_
   QRM_EXPECTS(target_rows <= local.height() && target_cols <= local.width());
 
   const std::int32_t height = local.height();
-  const std::int32_t width = local.width();
+  const auto width = static_cast<std::uint32_t>(local.width());
 
-  // Usable atoms per row (below the sen gate).
-  std::vector<std::vector<std::int32_t>> atoms(static_cast<std::size_t>(height));
-  std::vector<std::int32_t> capacity(static_cast<std::size_t>(height), 0);
+  // One assignment per row: its usable atoms (below the sen gate), and the
+  // target columns it is chosen for, collected in `targets` as they are
+  // granted. A row's capacity is its popcount.
+  std::vector<LineAssignment> rows(static_cast<std::size_t>(height));
+  std::int32_t max_capacity = 0;
   for (std::int32_t r = 0; r < height; ++r) {
-    atoms[static_cast<std::size_t>(r)] = line_atoms(local, Axis::Rows, r, sen_limit);
-    capacity[static_cast<std::size_t>(r)] =
-        static_cast<std::int32_t>(atoms[static_cast<std::size_t>(r)].size());
+    LineAssignment& row = rows[static_cast<std::size_t>(r)];
+    row = {r, below_gate(local.row(r), sen_limit), BitRow(width)};
+    max_capacity = std::max(max_capacity, static_cast<std::int32_t>(row.sources.count()));
   }
 
   // Greedy demand assignment: each target column needs `target_rows` donors,
@@ -72,12 +58,9 @@ std::vector<LineAssignment> balance_pass(const OccupancyGrid& local, std::int32_
   // remaining capacity maximises the total satisfiable demand. Rows are
   // bucketed by remaining capacity so each column costs O(grants), not a
   // sort (this path is on the latency-critical CPU analysis).
-  std::vector<std::vector<std::int32_t>> chosen(static_cast<std::size_t>(height));
-  std::int32_t max_capacity = 0;
-  for (const auto cap : capacity) max_capacity = std::max(max_capacity, cap);
   std::vector<std::vector<std::int32_t>> buckets(static_cast<std::size_t>(max_capacity) + 1);
   for (std::int32_t r = 0; r < height; ++r)
-    buckets[static_cast<std::size_t>(capacity[static_cast<std::size_t>(r)])].push_back(r);
+    buckets[rows[static_cast<std::size_t>(r)].sources.count()].push_back(r);
 
   BalanceReport rep;
   std::vector<std::pair<std::int32_t, std::int32_t>> picks;  // (row, old capacity)
@@ -94,7 +77,7 @@ std::vector<LineAssignment> balance_pass(const OccupancyGrid& local, std::int32_
     }
     // Apply grants after the scan so a row serves this column at most once.
     for (const auto& [r, cap] : picks) {
-      chosen[static_cast<std::size_t>(r)].push_back(c);  // ascending: c increases
+      rows[static_cast<std::size_t>(r)].targets.set(static_cast<std::uint32_t>(c));
       buckets[static_cast<std::size_t>(cap - 1)].push_back(r);
     }
     if (granted < target_rows) {
@@ -103,52 +86,21 @@ std::vector<LineAssignment> balance_pass(const OccupancyGrid& local, std::int32_
     }
   }
 
-  // Build per-row final placements: the chosen target columns plus parking
-  // spots for surplus atoms (prefer their original columns, then the lowest
-  // free columns). Gated atoms (>= sen_limit) are fixed obstacles the final
-  // ordering must respect — parking prefers original positions, and gated
-  // atoms keep theirs, so conflicts cannot arise below the gate.
-  std::vector<LineAssignment> out;
-  std::vector<char> used(static_cast<std::size_t>(width));
-  for (std::int32_t r = 0; r < height; ++r) {
-    const auto& row_atoms = atoms[static_cast<std::size_t>(r)];
-    if (row_atoms.empty()) continue;
-    std::fill(used.begin(), used.end(), char{0});
-    std::size_t placed = 0;
-    for (const std::int32_t c : chosen[static_cast<std::size_t>(r)]) {
-      used[static_cast<std::size_t>(c)] = 1;
-      ++placed;
-    }
-    // Keep surplus atoms at their original columns where possible...
-    for (const std::int32_t a : row_atoms) {
-      if (placed == row_atoms.size()) break;
-      if (used[static_cast<std::size_t>(a)] == 0) {
-        used[static_cast<std::size_t>(a)] = 1;
-        ++placed;
-      }
-    }
-    // ...topping up from the lowest free columns when originals collided
-    // with chosen targets. Gated positions are never used for parking.
-    const std::int32_t park_end = sen_limit < 0 ? width : sen_limit;
-    for (std::int32_t c = 0; c < park_end && placed < row_atoms.size(); ++c) {
-      if (used[static_cast<std::size_t>(c)] == 0) {
-        used[static_cast<std::size_t>(c)] = 1;
-        ++placed;
-      }
-    }
-    QRM_ENSURES_MSG(placed == row_atoms.size(),
-                    "balance pass could not place every atom below the sen gate");
-    std::vector<std::int32_t> targets;
-    targets.reserve(row_atoms.size());
-    for (std::int32_t c = 0; c < width; ++c) {
-      if (used[static_cast<std::size_t>(c)] != 0) targets.push_back(c);
-    }
-    if (targets == row_atoms) continue;  // nothing to move in this row
-    out.push_back({r, row_atoms, std::move(targets)});
+  // Each row's placement: its k chosen columns, plus the columns of its
+  // n - k lowest atoms off the chosen ones, where surplus atoms park. At
+  // most k atoms sit on chosen columns, so there are always enough, and
+  // parking stays below the sen gate, clear of the fixed gated atoms.
+  for (LineAssignment& a : rows) {
+    const std::uint32_t n = a.sources.count();
+    const std::uint32_t k = a.targets.count();
+    BitRow parked = a.sources;
+    parked ^= a.targets;
+    parked &= a.sources;  // atoms off the chosen columns
+    a.targets |= parked.lowest(n - k);
   }
-
+  std::erase_if(rows, [](const LineAssignment& a) { return a.sources == a.targets; });
   if (report != nullptr) *report = rep;
-  return out;
+  return rows;
 }
 
 }  // namespace qrm

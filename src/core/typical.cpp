@@ -7,39 +7,14 @@ namespace qrm {
 
 namespace {
 
-/// Compaction targets for one full line: atoms in the low half right-justify
-/// against the centre boundary, atoms in the high half left-justify from it.
-/// `length` is the line length (even); returns an assignment or nullopt-like
-/// empty sources when the line is already in place.
-LineAssignment half_compact_line(const BitRow& bits, std::int32_t line, std::int32_t length) {
-  const std::int32_t centre = length / 2;
-  std::vector<std::int32_t> sources;
-  std::vector<std::int32_t> targets;
-  std::vector<std::int32_t> low;
-  std::vector<std::int32_t> high;
-  bits.for_each_set([&](std::uint32_t pos) {
-    const auto p = static_cast<std::int32_t>(pos);
-    (p < centre ? low : high).push_back(p);
-  });
-  // Low half: n atoms end at [centre-n, centre).
-  for (std::size_t i = 0; i < low.size(); ++i) {
-    sources.push_back(low[i]);
-    targets.push_back(centre - static_cast<std::int32_t>(low.size()) +
-                      static_cast<std::int32_t>(i));
-  }
-  // High half: n atoms end at [centre, centre+n).
-  for (std::size_t i = 0; i < high.size(); ++i) {
-    sources.push_back(high[i]);
-    targets.push_back(centre + static_cast<std::int32_t>(i));
-  }
-  LineAssignment a;
-  a.line = line;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    if (sources[i] != targets[i]) {
-      a.sources.push_back(sources[i]);
-      a.targets.push_back(targets[i]);
-    }
-  }
+/// Compaction of one full line toward its centre: atoms in the low half
+/// right-justify against the centre boundary, atoms in the high half
+/// left-justify from it. Sources equal targets when the line is in place.
+LineAssignment half_compact_line(const BitRow& bits, std::int32_t line) {
+  const std::uint32_t centre = bits.width() / 2;
+  LineAssignment a{line, bits, BitRow(bits.width())};
+  a.targets.paste(0, bits.slice(0, centre).reversed().compacted().reversed());
+  a.targets.paste(centre, bits.slice(centre, bits.width() - centre).compacted());
   return a;
 }
 
@@ -65,12 +40,11 @@ PlanResult plan_typical(const OccupancyGrid& initial, const TypicalConfig& confi
     PassInfo info;
     info.axis = axis;
     const std::int32_t line_count = axis == Axis::Rows ? state.height() : state.width();
-    const std::int32_t length = axis == Axis::Rows ? state.width() : state.height();
     std::vector<LineAssignment> lines;
     for (std::int32_t line = 0; line < line_count; ++line) {
-      const BitRow bits = axis == Axis::Rows ? state.row(line) : state.column(line);
-      LineAssignment a = half_compact_line(bits, line, length);
-      if (!a.sources.empty()) lines.push_back(std::move(a));
+      LineAssignment a =
+          half_compact_line(axis == Axis::Rows ? state.row(line) : state.column(line), line);
+      if (a.sources != a.targets) lines.push_back(std::move(a));
     }
     info.lines_with_motion = lines.size();
     if (!lines.empty()) {

@@ -1,6 +1,5 @@
 #include "hwmodel/accelerator.hpp"
 
-#include <map>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -20,28 +19,20 @@ namespace {
 /// columns (as BitRows over row indices) for a vertical one.
 std::vector<RowBeat> pass_beats(const OccupancyGrid& local, Axis axis,
                                 const std::vector<LineAssignment>& assignments, bool balance) {
+  const std::int32_t line_count = axis == Axis::Rows ? local.height() : local.width();
   // For balance passes the per-line record count is not derivable from a
   // compaction scan; the balance unit supplies it (movers per line).
-  std::map<std::int32_t, std::int32_t> override_records;
-  if (balance) {
-    for (const auto& a : assignments) {
-      std::int32_t movers = 0;
-      for (std::size_t i = 0; i < a.sources.size(); ++i)
-        if (a.sources[i] != a.targets[i]) ++movers;
-      override_records[a.line] = movers;
-    }
-  }
-  const std::int32_t line_count = axis == Axis::Rows ? local.height() : local.width();
+  std::vector<std::int32_t> movers(static_cast<std::size_t>(line_count), 0);
+  if (balance)
+    for (const auto& a : assignments)
+      movers[static_cast<std::size_t>(a.line)] = static_cast<std::int32_t>(a.movers());
   std::vector<RowBeat> beats;
   beats.reserve(static_cast<std::size_t>(line_count));
   for (std::int32_t line = 0; line < line_count; ++line) {
     RowBeat beat;
     beat.line = line;
     beat.bits = axis == Axis::Rows ? local.row(line) : local.column(line);
-    if (balance) {
-      const auto it = override_records.find(line);
-      beat.records_override = it == override_records.end() ? 0 : it->second;
-    }
+    if (balance) beat.records_override = movers[static_cast<std::size_t>(line)];
     beats.push_back(std::move(beat));
   }
   return beats;
@@ -122,11 +113,12 @@ AccelResult QrmAccelerator::run(const OccupancyGrid& initial) const {
   std::uint64_t total_records = 0;
   while (auto pass = driver.next()) {
     if (pass->balance) {
-      // Balance units (our documented extension; see DESIGN.md): structural
-      // simulation — stream the quadrant rows through the counting stage,
-      // grant one target column per cycle, stream placements back. All four
-      // quadrants run in parallel; cycles come from the simulation and the
-      // grant totals are cross-checked against the behavioural analysis.
+      // Balance units (our extension; see README.md "Reproduction notes"):
+      // structural simulation — stream the quadrant rows through the
+      // counting stage, grant one target column per cycle, stream
+      // placements back. All four quadrants run in parallel; cycles come
+      // from the simulation and the grant totals are cross-checked against
+      // the behavioural analysis.
       Simulation balance_sim;
       std::vector<std::unique_ptr<Fifo<RowBeat>>> fifos;
       std::vector<std::unique_ptr<RowSource>> row_sources;

@@ -1,5 +1,6 @@
 #include "lattice/grid.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <sstream>
@@ -16,16 +17,18 @@ constexpr std::uint32_t kWordBits = BitRow::kWordBits;
 /// In-place transpose of a 64x64 bit block stored LSB-first (bit c of a[r] is
 /// element (r, c)). Recursive block-swap (Hacker's Delight 7-3) adapted to
 /// the LSB-first convention: at scale j, element (r, c) with r&j == 0 and
-/// c&j != 0 swaps with element (r|j, c^j).
-void transpose64(std::array<Word, 64>& a) noexcept {
+/// c&j != 0 swaps with element (r|j, c^j). When every set element lies in
+/// the low n x n corner (n a power of two), the scales j >= n only swap zeros
+/// and rows >= n stay zero, so only the scales below n run, on rows below n.
+void transpose64(std::array<Word, 64>& a, std::uint32_t n) noexcept {
   static constexpr std::array<Word, 6> kMask = {
       0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
       0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
   };
-  for (std::uint32_t level = 6; level-- > 0;) {
+  for (auto level = static_cast<std::uint32_t>(std::countr_zero(n)); level-- > 0;) {
     const std::uint32_t j = 1U << level;
     const Word m = kMask[level];
-    for (std::uint32_t k = 0; k < 64; k = (k + j + 1) & ~j) {
+    for (std::uint32_t k = 0; k < n; k = (k + j + 1) & ~j) {
       const Word t = (a[k] ^ (a[k | j] << j)) & m;
       a[k] ^= t;
       a[k | j] ^= t >> j;
@@ -169,10 +172,11 @@ OccupancyGrid OccupancyGrid::flipped(Flip flip) const {
         const std::uint32_t rows = std::min(kWordBits, h - r0);
         for (std::uint32_t c0 = 0; c0 < w; c0 += kWordBits) {
           const std::uint32_t cols = std::min(kWordBits, w - c0);
-          block.fill(0);
+          const std::uint32_t n = std::bit_ceil(std::max(rows, cols));
+          std::fill_n(block.begin(), n, Word{0});
           for (std::uint32_t k = 0; k < rows; ++k)
             block[k] = rows_[r0 + k].words()[c0 / kWordBits];
-          transpose64(block);
+          transpose64(block, n);
           for (std::uint32_t k = 0; k < cols; ++k)
             out.rows_[c0 + k].set_word(r0 / kWordBits, block[k]);
         }

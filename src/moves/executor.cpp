@@ -1,6 +1,8 @@
 #include "moves/executor.hpp"
 
-#include <set>
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "moves/aod.hpp"
 #include "util/assert.hpp"
@@ -12,24 +14,27 @@ std::optional<std::string> validate_move(const OccupancyGrid& grid, const Parall
   if (move.sites.empty()) return "move has no sites";
   if (move.steps < 1) return "move step count must be >= 1";
 
-  // Source membership: a bit grid for large moves (O(1) probes, one
-  // allocation), a std::set below the crossover where the grid's memset
-  // would dominate. The outcome is identical either way.
-  const bool big = move.sites.size() >= 32;
-  OccupancyGrid member;
-  std::set<Coord> sources;
-  if (big) member = OccupancyGrid(grid.height(), grid.width());
-  for (const Coord& s : move.sites) {
+  // Membership through one sorted copy of the sites, each with its index in
+  // the move: equal neighbours are duplicates, and a swept cell is a member
+  // iff a binary search finds it. The repeat reported is the earliest one in
+  // site order, so errors come out in the order a plain scan meets them.
+  std::vector<std::pair<Coord, std::size_t>> sorted(move.sites.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i) sorted[i] = {move.sites[i], i};
+  std::sort(sorted.begin(), sorted.end());
+  std::size_t first_repeat = sorted.size();
+  for (std::size_t k = 1; k < sorted.size(); ++k)
+    if (sorted[k].first == sorted[k - 1].first)
+      first_repeat = std::min(first_repeat, sorted[k].second);
+  for (std::size_t i = 0; i < move.sites.size(); ++i) {
+    const Coord& s = move.sites[i];
     if (!grid.in_bounds(s)) return "source out of bounds: " + qrm::to_string(s);
     if (!grid.occupied(s)) return "source holds no atom: " + qrm::to_string(s);
-    if (big) {
-      if (member.occupied(s)) return "duplicate source: " + qrm::to_string(s);
-      member.set(s);
-    } else if (!sources.insert(s).second) {
-      return "duplicate source: " + qrm::to_string(s);
-    }
+    if (i == first_repeat) return "duplicate source: " + qrm::to_string(s);
   }
-  const auto is_source = [&](Coord c) { return big ? member.occupied(c) : sources.contains(c); };
+  const auto is_source = [&sorted](Coord c) {
+    const auto it = std::lower_bound(sorted.begin(), sorted.end(), std::pair{c, std::size_t{0}});
+    return it != sorted.end() && it->first == c;
+  };
   for (const Coord& s : move.sites) {
     for (std::int32_t k = 1; k <= move.steps; ++k) {
       const Coord cell = moved(s, move.dir, k);

@@ -1,7 +1,6 @@
 #include "moves/realizer.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <optional>
 #include <string>
 
@@ -26,48 +25,29 @@ Coord to_coord(Axis axis, std::int32_t line, std::int32_t pos) {
 
 void validate_assignment(const OccupancyGrid& grid, Axis axis, const LineAssignment& a) {
   const std::int32_t line_count = axis == Axis::Rows ? grid.height() : grid.width();
-  const std::int32_t line_length = axis == Axis::Rows ? grid.width() : grid.height();
+  const auto line_length = static_cast<std::uint32_t>(axis == Axis::Rows ? grid.width()
+                                                                         : grid.height());
   QRM_EXPECTS_MSG(a.line >= 0 && a.line < line_count, "assignment line out of range");
-  QRM_EXPECTS_MSG(a.sources.size() == a.targets.size(),
+  QRM_EXPECTS_MSG(a.sources.width() == line_length && a.targets.width() == line_length,
+                  "assignment masks must span the line");
+  QRM_EXPECTS_MSG(a.sources.count() == a.targets.count(),
                   "assignment sources/targets size mismatch");
-  BitRow column;
-  const BitRow& atoms = axis == Axis::Rows ? grid.row(a.line) : (column = grid.column(a.line));
-  for (std::size_t i = 0; i < a.sources.size(); ++i) {
-    QRM_EXPECTS_MSG(a.sources[i] >= 0 && a.sources[i] < line_length,
-                    "assignment source out of range");
-    QRM_EXPECTS_MSG(a.targets[i] >= 0 && a.targets[i] < line_length,
-                    "assignment target out of range");
-    QRM_EXPECTS_MSG(atoms.test(static_cast<std::uint32_t>(a.sources[i])),
-                    "assignment source holds no atom");
-    if (i > 0) {
-      QRM_EXPECTS_MSG(a.sources[i] > a.sources[i - 1], "assignment sources must ascend");
-      QRM_EXPECTS_MSG(a.targets[i] > a.targets[i - 1], "assignment targets must ascend");
-    }
-  }
-  // Full-line order consistency: merge fixed atoms (unselected) with the
-  // moving atoms' targets in source order; the sequence must stay strictly
-  // increasing and duplicate-free, or motion would require passing an atom.
-  // Sources are strictly ascending (checked above), so one sweep over the
-  // line's set bits, word by word, pairs each selected site with its target
-  // in index order — no set lookups or per-position probes on this hot
-  // path. Final positions are >= 0, so -1 is below every one.
-  std::size_t next_moving = 0;
-  std::int32_t prev_final = -1;
-  const auto& words = atoms.words();
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    for (BitRow::Word bits = words[w]; bits != 0; bits &= bits - 1) {
-      const auto pos = static_cast<std::int32_t>(w * BitRow::kWordBits +
-                                                 static_cast<std::size_t>(std::countr_zero(bits)));
-      std::int32_t final_pos = pos;
-      if (next_moving < a.sources.size() && a.sources[next_moving] == pos) {
-        final_pos = a.targets[next_moving++];
-      }
-      QRM_EXPECTS_MSG(final_pos > prev_final,
-                      "assignment would require an atom to pass another in line " +
-                          std::to_string(a.line));
-      prev_final = final_pos;
-    }
-  }
+  BitRow fixed = axis == Axis::Rows ? grid.row(a.line) : grid.column(a.line);
+  BitRow held = a.sources;
+  held &= fixed;
+  QRM_EXPECTS_MSG(held == a.sources, "assignment source holds no atom");
+  // Order consistency. The k-th source goes to the k-th target, so no atom
+  // passes a fixed one exactly when no target lands on a fixed atom and
+  // every fixed atom has as many sources as targets below it.
+  fixed ^= a.sources;
+  BitRow landing = fixed;
+  landing &= a.targets;
+  bool ordered = landing.none();
+  fixed.for_each_set([&](std::uint32_t p) {
+    ordered = ordered && a.sources.count_range(0, p) == a.targets.count_range(0, p);
+  });
+  QRM_EXPECTS_MSG(ordered, "assignment would require an atom to pass another in line " +
+                               std::to_string(a.line));
 }
 
 /// Emit one round (all `sites` move `steps` cells in `dir`). With a
@@ -208,6 +188,26 @@ std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers
 
 }  // namespace
 
+LineAssignment make_assignment(std::int32_t line, std::int32_t length,
+                               const std::vector<std::int32_t>& sources,
+                               const std::vector<std::int32_t>& targets) {
+  QRM_EXPECTS(length >= 0);
+  LineAssignment a{line, BitRow(static_cast<std::uint32_t>(length)),
+                   BitRow(static_cast<std::uint32_t>(length))};
+  const auto mark = [length](BitRow& mask, const std::vector<std::int32_t>& positions) {
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      QRM_EXPECTS_MSG(positions[i] >= 0 && positions[i] < length,
+                      "assignment position out of range");
+      QRM_EXPECTS_MSG(i == 0 || positions[i] > positions[i - 1],
+                      "assignment positions must ascend");
+      mask.set(static_cast<std::uint32_t>(positions[i]));
+    }
+  };
+  mark(a.sources, sources);
+  mark(a.targets, targets);
+  return a;
+}
+
 RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
                                   std::span<const LineAssignment> assignments,
                                   Schedule& schedule, const RealizeOptions& options) {
@@ -220,9 +220,9 @@ RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
                     "duplicate line in one realize call");
     validate_assignment(grid, axis, a);
     seen_lines[line] = true;
-    for (std::size_t i = 0; i < a.sources.size(); ++i) {
-      if (a.sources[i] != a.targets[i]) movers.push_back({a.line, a.sources[i], a.targets[i]});
-    }
+    a.for_each_move([&](std::int32_t source, std::int32_t target) {
+      movers.push_back({a.line, source, target});
+    });
   }
 
   RealizeResult result;

@@ -11,6 +11,7 @@
 /// order-preserving within every line, which is exactly the regime in which
 /// lockstep tweezer moves are collision-free.
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "lattice/grid.hpp"
 #include "moves/dead_channels.hpp"
 #include "moves/schedule.hpp"
+#include "util/bitrow.hpp"
 
 namespace qrm {
 
@@ -27,17 +29,55 @@ enum class Axis : std::uint8_t {
   Cols,  ///< lines are columns; positions are row indices; motion is N/S
 };
 
-/// Re-placement of (a subset of) one line's atoms.
+/// Re-placement of (a subset of) one line's atoms, as two masks over the
+/// whole line.
 ///
-/// `sources[i]` (strictly ascending, each holding an atom) is sent to
-/// `targets[i]` (strictly ascending). Atoms of the line not listed stay
-/// fixed; the combined final placement must remain strictly ordered, i.e.
-/// no moving atom may pass a fixed one.
+/// The k-th set bit of `sources` (each an atom of the line) goes to the k-th
+/// set bit of `targets`, so the two masks hold the same number of bits and
+/// motion preserves order. Atoms outside `sources` stay fixed, and so do
+/// sources whose k-th target is their own position; no moving atom may pass
+/// or land on a fixed one.
 struct LineAssignment {
   std::int32_t line = 0;
-  std::vector<std::int32_t> sources;
-  std::vector<std::int32_t> targets;
+  BitRow sources;
+  BitRow targets;
+
+  /// Call `fn(source, target)` for every atom that moves, ascending.
+  /// Precondition: sources and targets hold the same number of bits.
+  template <typename Fn>
+  void for_each_move(Fn&& fn) const {
+    const auto position = [](std::size_t word, BitRow::Word bits) {
+      return static_cast<std::int32_t>(word * BitRow::kWordBits +
+                                       static_cast<std::size_t>(std::countr_zero(bits)));
+    };
+    const auto& to = targets.words();
+    std::size_t ti = 0;
+    BitRow::Word tw = to.empty() ? 0 : to[0];
+    const auto& from = sources.words();
+    for (std::size_t si = 0; si < from.size(); ++si) {
+      for (BitRow::Word sw = from[si]; sw != 0; sw &= sw - 1) {
+        while (tw == 0) tw = to.at(++ti);
+        const std::int32_t source = position(si, sw);
+        const std::int32_t target = position(ti, tw);
+        tw &= tw - 1;
+        if (source != target) fn(source, target);
+      }
+    }
+  }
+  /// Number of atoms that move.
+  [[nodiscard]] std::size_t movers() const {
+    std::size_t n = 0;
+    for_each_move([&n](std::int32_t, std::int32_t) { ++n; });
+    return n;
+  }
 };
+
+/// The assignment sending `sources[i]` to `targets[i]` along a line of
+/// `length` positions. Throws PreconditionError unless both lists strictly
+/// ascend inside [0, length).
+[[nodiscard]] LineAssignment make_assignment(std::int32_t line, std::int32_t length,
+                                             const std::vector<std::int32_t>& sources,
+                                             const std::vector<std::int32_t>& targets);
 
 struct RealizeOptions {
   /// Partition every round into AOD-legal sub-moves (cross-product rule).
@@ -59,11 +99,14 @@ struct RealizeResult {
 };
 
 /// Realize `assignments`, appending the generated moves to `schedule` and
-/// advancing `grid` to the post-move state.
+/// advancing `grid` to the post-move state. Movers are taken line by line in
+/// the order given, ascending along each line, and that order shapes the
+/// emitted commands.
 ///
-/// Throws PreconditionError when an assignment is malformed (non-ascending,
-/// unoccupied source, out-of-bounds target, order violation with fixed
-/// atoms, duplicate final positions).
+/// Throws PreconditionError when an assignment is malformed: a line out of
+/// range or repeated, masks not spanning the line, unequal source and target
+/// counts, a source without an atom, or motion that would pass or land on a
+/// fixed atom.
 RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
                                   std::span<const LineAssignment> assignments,
                                   Schedule& schedule, const RealizeOptions& options = {});

@@ -30,6 +30,16 @@ namespace qrm::ref {
   return out;
 }
 
+[[nodiscard]] inline BitRow lowest(const BitRow& row, std::uint32_t k) {
+  BitRow out(row.width());
+  for (std::uint32_t i = 0; i < row.width() && k > 0; ++i)
+    if (row.test(i)) {
+      out.set(i);
+      --k;
+    }
+  return out;
+}
+
 [[nodiscard]] inline std::uint32_t count_range(const BitRow& row, std::uint32_t lo,
                                                std::uint32_t hi) {
   std::uint32_t n = 0;

@@ -1,5 +1,6 @@
 #include "util/bitrow.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 
@@ -196,6 +197,24 @@ BitRow BitRow::compacted() const {
   const std::uint32_t full = n / kWordBits;
   for (std::uint32_t wi = 0; wi < full; ++wi) out.words_[wi] = ~Word{0};
   if (n % kWordBits != 0) out.words_[full] = low_mask(n % kWordBits);
+  return out;
+}
+
+BitRow BitRow::lowest(std::uint32_t k) const {
+  BitRow out(width_);
+  // Whole words while they fit in k, then the lowest k bits of the word
+  // where the count runs out.
+  for (std::size_t wi = 0; wi < words_.size() && k > 0; ++wi) {
+    Word w = words_[wi];
+    const auto n = static_cast<std::uint32_t>(std::popcount(w));
+    if (n > k) {
+      Word rest = w;
+      for (; k > 0; --k) rest &= rest - 1;
+      w ^= rest;
+    }
+    out.words_[wi] = w;
+    k -= std::min(k, n);
+  }
   return out;
 }
 

@@ -98,6 +98,9 @@ class BitRow {
 
   /// Row after full compaction toward bit 0: count() ones then zeros.
   [[nodiscard]] BitRow compacted() const;
+  /// The row keeping only its `k` lowest set bits (all of them when k >=
+  /// count()): the first k atoms of the line.
+  [[nodiscard]] BitRow lowest(std::uint32_t k) const;
   /// Displacement of each atom under full compaction toward bit 0, in the
   /// order of ascending source position (value = number of holes below it).
   [[nodiscard]] std::vector<std::uint32_t> compaction_displacements() const;

@@ -64,7 +64,7 @@ TEST(Baselines, GlobalPlacementMeetsDemand) {
   OccupancyGrid after = g;
   // Apply placements abstractly: count target positions per column.
   for (const auto& a : placement.row_assignments)
-    for (const auto t : a.targets) per_column[static_cast<std::size_t>(t)]++;
+    a.targets.for_each_set([&](std::uint32_t t) { per_column[t]++; });
   // Rows without assignment keep their atoms; count those too.
   std::vector<bool> assigned(20, false);
   for (const auto& a : placement.row_assignments)

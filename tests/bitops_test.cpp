@@ -73,6 +73,16 @@ TEST(BitOpsDifferential, Compacted) {
       [](const BitRow& row, Rng&) { EXPECT_EQ(row.compacted(), ref::compacted(row)); });
 }
 
+TEST(BitOpsDifferential, Lowest) {
+  for_each_random_row([](const BitRow& row, Rng& rng) {
+    const std::uint32_t n = row.count();
+    for (const std::uint32_t k : {0U, 1U, n / 2, n, n + 1, rng.uniform_below(n + 1)}) {
+      SCOPED_TRACE("k=" + std::to_string(k));
+      EXPECT_EQ(row.lowest(k), ref::lowest(row, k));
+    }
+  });
+}
+
 TEST(BitOpsDifferential, CountRange) {
   for_each_random_row([](const BitRow& row, Rng& rng) {
     const std::uint32_t w = row.width();
@@ -139,9 +149,11 @@ TEST(BitOpsDifferential, SliceBoundsChecked) {
   EXPECT_THROW(target.paste(50, BitRow(51)), PreconditionError);
 }
 
-/// Grid shapes straddling the 64-row/column block boundaries.
+/// Grid shapes straddling the 64-row/column block boundaries, and small
+/// ones whose blocks transpose as 8x8, 32x32 or 64x64 corners.
 const std::vector<std::pair<std::int32_t, std::int32_t>> kShapes = {
-    {1, 1}, {3, 130}, {63, 63}, {64, 64}, {65, 64}, {64, 65}, {65, 65}, {100, 200}, {128, 128}};
+    {1, 1},   {5, 5},   {17, 33}, {25, 25},  {32, 31},   {3, 130},
+    {63, 63}, {64, 64}, {65, 64}, {64, 65},  {65, 65},   {100, 200}, {128, 128}};
 
 TEST(GridOpsDifferential, Transpose) {
   for (const auto& [h, w] : kShapes) {

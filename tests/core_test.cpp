@@ -12,9 +12,11 @@
 #include "core/planner.hpp"
 #include "core/quadrant_plan.hpp"
 #include "core/typical.hpp"
+#include "kernelref.hpp"
 #include "lattice/quadrant.hpp"
 #include "loading/loader.hpp"
 #include "testutil.hpp"
+#include "util/rng.hpp"
 
 namespace qrm {
 namespace {
@@ -341,8 +343,34 @@ TEST(QuadrantPlan, CompactPassProducesPrefixTargets) {
   // Row 0 moves (0101 -> 1100); rows 1 and 3 are already compact; row 2 empty.
   ASSERT_EQ(passes.size(), 1u);
   EXPECT_EQ(passes[0].line, 0);
-  EXPECT_EQ(passes[0].sources, (std::vector<std::int32_t>{1, 3}));
-  EXPECT_EQ(passes[0].targets, (std::vector<std::int32_t>{0, 1}));
+  EXPECT_EQ(passes[0].sources, BitRow::from_string("0101"));
+  EXPECT_EQ(passes[0].targets, BitRow::from_string("1100"));
+  EXPECT_EQ(passes[0].movers(), 2u);
+}
+
+TEST(QuadrantPlan, CompactPassLeavesGatedAtomsOut) {
+  // Gate at 3: atoms at position 4 are outside the scan and stay put, so
+  // rows 0 and 2 each compact only their atom at column 2, and column 4
+  // (whose only atom below the gate is already at 0) needs no motion.
+  const OccupancyGrid local = OccupancyGrid::from_strings({
+      "00101",
+      "00000",
+      "00100",
+      "00001",
+  });
+  const auto rows = compact_pass(local, Axis::Rows, 3);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].line, 0);
+  EXPECT_EQ(rows[1].line, 2);
+  for (const LineAssignment& a : rows) {
+    EXPECT_EQ(a.sources, BitRow::from_string("00100"));
+    EXPECT_EQ(a.targets, BitRow::from_string("10000"));
+  }
+  const auto cols = compact_pass(local, Axis::Cols, 3);
+  ASSERT_EQ(cols.size(), 1u);
+  EXPECT_EQ(cols[0].line, 2);
+  EXPECT_EQ(cols[0].sources, BitRow::from_string("1010"));
+  EXPECT_EQ(cols[0].targets, BitRow::from_string("1100"));
 }
 
 TEST(QuadrantPlan, BalancePassMeetsColumnDemand) {
@@ -353,11 +381,14 @@ TEST(QuadrantPlan, BalancePassMeetsColumnDemand) {
   BalanceReport report;
   const auto assignments = balance_pass(local, 3, 3, -1, &report);
   EXPECT_TRUE(report.feasible);
-  // Simulate: count atoms per column after applying assignments.
+  // Every row moves, so the target masks are the final placement.
+  ASSERT_EQ(assignments.size(), 6u);
   std::vector<int> column_count(6, 0);
-  for (const auto& a : assignments)
-    for (const auto t : a.targets) column_count[static_cast<std::size_t>(t)]++;
-  // Rows with no assignment keep their atoms in place — none here (all move).
+  for (const auto& a : assignments) {
+    EXPECT_EQ(a.sources, BitRow::from_string("000011"));
+    EXPECT_EQ(a.targets.count(), 2u);
+    a.targets.for_each_set([&](std::uint32_t t) { column_count[t]++; });
+  }
   for (int c = 0; c < 3; ++c) EXPECT_GE(column_count[static_cast<std::size_t>(c)], 3)
       << "column " << c << " under-supplied";
 }
@@ -369,6 +400,91 @@ TEST(QuadrantPlan, BalancePassReportsShortfall) {
   EXPECT_TRUE(assignments.empty());
   EXPECT_FALSE(report.feasible);
   EXPECT_EQ(report.shortfall, 9);
+}
+
+// ---------------------------------------------------------------------------
+// Quadrant kernels against the per-atom reference (tests/kernelref.hpp).
+// ---------------------------------------------------------------------------
+
+/// The word kernel's masks in the reference's vector form.
+std::vector<ref::VectorAssignment> as_vectors(const std::vector<LineAssignment>& assignments) {
+  std::vector<ref::VectorAssignment> out;
+  for (const LineAssignment& a : assignments) {
+    const auto positions = [](const BitRow& mask) {
+      const std::vector<std::uint32_t> set = mask.set_positions();
+      return std::vector<std::int32_t>(set.begin(), set.end());
+    };
+    out.push_back({a.line, positions(a.sources), positions(a.targets)});
+  }
+  return out;
+}
+
+/// Quadrant loads for the differential: Bernoulli fills, and the infeasible
+/// shapes (every atom in the far corner block, only the near half of the
+/// columns filled, no atoms at all).
+std::vector<std::pair<std::string, OccupancyGrid>> kernel_loads(std::int32_t height,
+                                                                std::int32_t width,
+                                                                std::uint64_t seed) {
+  std::vector<std::pair<std::string, OccupancyGrid>> loads;
+  for (const double fill : {0.1, 0.5, 0.9})
+    loads.emplace_back("fill " + std::to_string(fill), load_random(height, width, {fill, seed}));
+  OccupancyGrid corner(height, width);
+  OccupancyGrid half(height, width);
+  for (std::int32_t r = 0; r < height; ++r)
+    for (std::int32_t c = 0; c < width; ++c) {
+      if (2 * r >= height && 2 * c >= width) corner.set({r, c});
+      if (2 * c < width) half.set({r, c});
+    }
+  loads.emplace_back("corner block", std::move(corner));
+  loads.emplace_back("half grid", std::move(half));
+  loads.emplace_back("empty", OccupancyGrid(height, width));
+  return loads;
+}
+
+TEST(QuadrantPlanDifferential, WordKernelsMatchPerAtomReference) {
+  // Every extent crossing a word boundary against every other, plus seeded
+  // random shapes, each under every load, with the sen gate off and at a
+  // random position (0 and past the line included).
+  const std::vector<std::int32_t> extents = {1, 2, 3, 63, 64, 65, 127, 128, 140};
+  std::vector<std::pair<std::int32_t, std::int32_t>> shapes;
+  for (const std::int32_t h : extents)
+    for (const std::int32_t w : extents) shapes.emplace_back(h, w);
+  Rng rng(1606);
+  for (int i = 0; i < 30; ++i)
+    shapes.emplace_back(1 + static_cast<std::int32_t>(rng.uniform_below(140)),
+                        1 + static_cast<std::int32_t>(rng.uniform_below(140)));
+  std::size_t cases = 0;
+  for (const auto& [height, width] : shapes) {
+    const std::uint64_t seed = rng.uniform_below(1U << 20);
+    for (const auto& [load, local] : kernel_loads(height, width, seed)) {
+      for (const bool gated : {false, true}) {
+        const std::int32_t gate =
+            gated ? static_cast<std::int32_t>(rng.uniform_below(
+                        static_cast<std::uint32_t>(std::max(height, width)) + 2))
+                  : -1;
+        SCOPED_TRACE(std::to_string(height) + "x" + std::to_string(width) + " " + load +
+                     " seed " + std::to_string(seed) + " gate " + std::to_string(gate));
+        for (const Axis axis : {Axis::Rows, Axis::Cols}) {
+          EXPECT_EQ(as_vectors(compact_pass(local, axis, gate)),
+                    ref::compact_pass(local, axis, gate))
+              << (axis == Axis::Rows ? "rows" : "cols");
+        }
+        const auto target_rows = 1 + static_cast<std::int32_t>(
+                                         rng.uniform_below(static_cast<std::uint32_t>(height)));
+        const auto target_cols = 1 + static_cast<std::int32_t>(
+                                         rng.uniform_below(static_cast<std::uint32_t>(width)));
+        BalanceReport report;
+        BalanceReport expected;
+        EXPECT_EQ(as_vectors(balance_pass(local, target_rows, target_cols, gate, &report)),
+                  ref::balance_pass(local, target_rows, target_cols, gate, &expected))
+            << "balance " << target_rows << "x" << target_cols;
+        EXPECT_EQ(report.feasible, expected.feasible);
+        EXPECT_EQ(report.shortfall, expected.shortfall);
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, shapes.size() * 6 * 2);
 }
 
 }  // namespace

@@ -113,15 +113,15 @@ std::vector<RealizeCase> wide_realize_battery() {
             if (grid.occupied(axis == Axis::Rows ? Coord{line, p} : Coord{p, line}))
               atoms.push_back(p);
           if (atoms.empty() || rng.bernoulli(0.15)) continue;
-          LineAssignment a;
-          a.line = line;
+          std::vector<std::int32_t> sources;
+          std::vector<std::int32_t> targets;
           if (kind == 1) {
             const std::int32_t mid = length / 2;
             const auto low = static_cast<std::int32_t>(
                 std::lower_bound(atoms.begin(), atoms.end(), mid) - atoms.begin());
             for (std::int32_t i = 0; i < static_cast<std::int32_t>(atoms.size()); ++i) {
-              a.sources.push_back(atoms[static_cast<std::size_t>(i)]);
-              a.targets.push_back(i < low ? mid - low + i : mid + i - low);
+              sources.push_back(atoms[static_cast<std::size_t>(i)]);
+              targets.push_back(i < low ? mid - low + i : mid + i - low);
             }
           } else {
             // Fixed atoms split the line into segments; the movers of a
@@ -136,8 +136,8 @@ std::vector<RealizeCase> wide_realize_battery() {
               while (chosen.size() < segment.size())
                 chosen.insert(free_cells[rng.uniform_below(
                     static_cast<std::uint32_t>(free_cells.size()))]);
-              a.sources.insert(a.sources.end(), segment.begin(), segment.end());
-              a.targets.insert(a.targets.end(), chosen.begin(), chosen.end());
+              sources.insert(sources.end(), segment.begin(), segment.end());
+              targets.insert(targets.end(), chosen.begin(), chosen.end());
               segment.clear();
             };
             for (const std::int32_t p : atoms) {
@@ -150,7 +150,7 @@ std::vector<RealizeCase> wide_realize_battery() {
             }
             place(length);
           }
-          assignments.push_back(std::move(a));
+          assignments.push_back(make_assignment(line, length, sources, targets));
         }
         cases.push_back({std::move(grid), axis, std::move(assignments), with_dead});
       }
@@ -577,7 +577,7 @@ TEST(Executor, AodCheckCanBeDisabled) {
 TEST(Realizer, CompactsARow) {
   OccupancyGrid g = OccupancyGrid::from_strings({"01011"});
   Schedule s;
-  const LineAssignment a{0, {1, 3, 4}, {0, 1, 2}};
+  const LineAssignment a = make_assignment(0, 5, {1, 3, 4}, {0, 1, 2});
   const RealizeResult rr = realize_assignments(g, Axis::Rows, {&a, 1}, s);
   EXPECT_EQ(g.row(0).to_string(), "11100");
   EXPECT_EQ(rr.atoms_moved, 3u);
@@ -588,7 +588,7 @@ TEST(Realizer, CompactsARow) {
 TEST(Realizer, MovesBothDirections) {
   OccupancyGrid g = OccupancyGrid::from_strings({"01100"});
   Schedule s;
-  const LineAssignment a{0, {1, 2}, {0, 4}};  // one west, one east x2
+  const LineAssignment a = make_assignment(0, 5, {1, 2}, {0, 4});  // one west, one east x2
   (void)realize_assignments(g, Axis::Rows, {&a, 1}, s);
   EXPECT_EQ(g.row(0).to_string(), "10001");
 }
@@ -601,7 +601,7 @@ TEST(Realizer, ColumnAxisUsesNorthSouth) {
       "0",
   });
   Schedule s;
-  const LineAssignment a{0, {1, 2}, {0, 1}};
+  const LineAssignment a = make_assignment(0, 4, {1, 2}, {0, 1});
   (void)realize_assignments(g, Axis::Cols, {&a, 1}, s);
   EXPECT_TRUE(g.occupied({0, 0}));
   EXPECT_TRUE(g.occupied({1, 0}));
@@ -612,22 +612,28 @@ TEST(Realizer, ColumnAxisUsesNorthSouth) {
 TEST(Realizer, RejectsMalformedAssignments) {
   OccupancyGrid g = OccupancyGrid::from_strings({"0110"});
   Schedule s;
-  // Non-ascending sources.
-  LineAssignment bad1{0, {2, 1}, {0, 1}};
-  EXPECT_THROW((void)realize_assignments(g, Axis::Rows, {&bad1, 1}, s), PreconditionError);
+  // Non-ascending or out-of-range positions cannot become masks.
+  EXPECT_THROW((void)make_assignment(0, 4, {2, 1}, {0, 1}), PreconditionError);
+  EXPECT_THROW((void)make_assignment(0, 4, {1}, {4}), PreconditionError);
+  // Masks narrower than the line.
+  LineAssignment narrow = make_assignment(0, 3, {1}, {0});
+  EXPECT_THROW((void)realize_assignments(g, Axis::Rows, {&narrow, 1}, s), PreconditionError);
   // Unoccupied source.
-  LineAssignment bad2{0, {0}, {3}};
+  LineAssignment bad2 = make_assignment(0, 4, {0}, {3});
   EXPECT_THROW((void)realize_assignments(g, Axis::Rows, {&bad2, 1}, s), PreconditionError);
   // Size mismatch.
-  LineAssignment bad3{0, {1, 2}, {0}};
+  LineAssignment bad3 = make_assignment(0, 4, {1, 2}, {0});
   EXPECT_THROW((void)realize_assignments(g, Axis::Rows, {&bad3, 1}, s), PreconditionError);
   // Target collides with a fixed atom's ordering (moving atom would pass it).
   OccupancyGrid g2 = OccupancyGrid::from_strings({"0110"});
-  LineAssignment bad4{0, {1}, {3}};  // must pass the fixed atom at 2
+  LineAssignment bad4 = make_assignment(0, 4, {1}, {3});  // must pass the fixed atom at 2
   EXPECT_THROW((void)realize_assignments(g2, Axis::Rows, {&bad4, 1}, s), PreconditionError);
+  // A target on a fixed atom.
+  LineAssignment onto = make_assignment(0, 4, {1}, {2});
+  EXPECT_THROW((void)realize_assignments(g2, Axis::Rows, {&onto, 1}, s), PreconditionError);
   // Duplicate line.
-  LineAssignment ok{0, {1}, {0}};
-  LineAssignment dup{0, {2}, {3}};
+  LineAssignment ok = make_assignment(0, 4, {1}, {0});
+  LineAssignment dup = make_assignment(0, 4, {2}, {3});
   std::vector<LineAssignment> both{ok, dup};
   EXPECT_THROW((void)realize_assignments(g, Axis::Rows, both, s), PreconditionError);
 }
@@ -640,7 +646,8 @@ TEST(Realizer, MultiLineRoundsShareCommands) {
       "010",
   });
   Schedule s;
-  std::vector<LineAssignment> lines{{0, {1}, {0}}, {1, {1}, {0}}};
+  std::vector<LineAssignment> lines{make_assignment(0, 3, {1}, {0}),
+                                    make_assignment(1, 3, {1}, {0})};
   (void)realize_assignments(g, Axis::Rows, lines, s);
   ASSERT_EQ(s.size(), 1u);
   EXPECT_EQ(s[0].sites.size(), 2u);
@@ -659,7 +666,8 @@ TEST(Realizer, DeadColumnHopRoundSplitsOnCrossTrapBystander) {
   const OccupancyGrid initial = g;
   const DeadChannelMask dead{{}, {2, 5}};
   Schedule s;
-  const std::vector<LineAssignment> lines{{0, {3}, {1}}, {2, {6}, {4}}};
+  const std::vector<LineAssignment> lines{make_assignment(0, 8, {3}, {1}),
+                                          make_assignment(2, 8, {6}, {4})};
   const RealizeResult result =
       realize_assignments(g, Axis::Rows, lines, s, {.aod_legalize = true, .dead = &dead});
   EXPECT_EQ(result.rounds_toward_origin, 1u);
@@ -699,21 +707,20 @@ TEST(Realizer, RandomisedAssignmentsExecuteCleanly) {
         };
         std::vector<LineAssignment> assignments;
         for (std::int32_t line = 0; line < lines; ++line) {
-          LineAssignment a;
-          a.line = line;
+          std::vector<std::int32_t> sources;
           for (std::int32_t p = 0; p < length; ++p)
             if (initial.occupied(axis == Axis::Rows ? Coord{line, p} : Coord{p, line}))
-              a.sources.push_back(p);
-          if (a.sources.empty()) continue;
+              sources.push_back(p);
+          if (sources.empty()) continue;
           // Move every atom of the line to a fresh ascending live placement.
           std::set<std::int32_t> placement;
-          while (placement.size() < a.sources.size()) {
+          while (placement.size() < sources.size()) {
             const auto p = static_cast<std::int32_t>(
                 rng.uniform_below(static_cast<std::uint32_t>(length)));
             if (live(p)) placement.insert(p);
           }
-          a.targets.assign(placement.begin(), placement.end());
-          assignments.push_back(std::move(a));
+          assignments.push_back(make_assignment(
+              line, length, sources, {placement.begin(), placement.end()}));
         }
         for (const bool aod_legalize : {true, false}) {
           OccupancyGrid grid = initial;
@@ -790,13 +797,12 @@ TEST(Realizer, LegalizedPhasesMatchPerRoundLegalize) {
       const std::int32_t delta = toward_origin ? -1 : +1;
       std::vector<std::pair<Coord, std::int32_t>> movers;  // position, rounds left
       for (const LineAssignment& a : c.assignments) {
-        for (std::size_t i = 0; i < a.sources.size(); ++i) {
-          const std::int32_t left = (a.targets[i] - a.sources[i]) * delta;
-          if (left <= 0) continue;
-          movers.push_back({c.axis == Axis::Rows ? Coord{a.line, a.sources[i]}
-                                                 : Coord{a.sources[i], a.line},
-                            left});
-        }
+        a.for_each_move([&](std::int32_t source, std::int32_t target) {
+          const std::int32_t left = (target - source) * delta;
+          if (left <= 0) return;
+          movers.push_back(
+              {c.axis == Axis::Rows ? Coord{a.line, source} : Coord{source, a.line}, left});
+        });
       }
       for (;;) {
         std::vector<Coord> sites;

@@ -209,11 +209,8 @@ TEST(RealizerProperty, RandomColumnAssignmentsReplayCleanly) {
       while (placement.size() < atoms.size()) {
         placement.insert(static_cast<std::int32_t>(rng.uniform_below(12)));
       }
-      LineAssignment a;
-      a.line = c;
-      for (const auto p : atoms) a.sources.push_back(static_cast<std::int32_t>(p));
-      a.targets.assign(placement.begin(), placement.end());
-      lines.push_back(std::move(a));
+      lines.push_back(make_assignment(c, g.height(), {atoms.begin(), atoms.end()},
+                                      {placement.begin(), placement.end()}));
     }
     Schedule s;
     (void)realize_assignments(g, Axis::Cols, lines, s);
